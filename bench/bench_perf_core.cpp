@@ -1,7 +1,7 @@
 // Performance-core benchmark: throughput of the blocked GEMM, the im2col
 // convolutions, the CSR SpMM / R-GCN encoder, and an end-to-end PPO
 // training step — each measured against the original scalar seed kernels
-// (AFP_NAIVE_KERNELS path) so the speedup trajectory is tracked across
+// (the naive kernel tier) so the speedup trajectory is tracked across
 // PRs.  Results are printed and written to BENCH_perf_core.json.
 //
 // Knobs: AFP_BENCH_SCALE scales iteration counts (0.05 for CI smoke runs),

@@ -126,37 +126,6 @@ std::uint64_t checkpoint_identity(const std::string& optimizer,
   return fnv1a(key);
 }
 
-std::string to_string(Method m) {
-  switch (m) {
-    case Method::kRgcnRl: return "R-GCN RL";
-    case Method::kSA: return "SA";
-    case Method::kGA: return "GA";
-    case Method::kPSO: return "PSO";
-    case Method::kRlSa: return "RL-SA[13]";
-    case Method::kRlSp: return "RL[13]";
-    case Method::kSaBStar: return "SA-B*[15]";
-    case Method::kPT: return "PT";
-  }
-  return "?";
-}
-
-std::string optimizer_name(Method m) {
-  switch (m) {
-    case Method::kSA: return "sa";
-    case Method::kGA: return "ga";
-    case Method::kPSO: return "pso";
-    case Method::kRlSa: return "rlsa";
-    case Method::kRlSp: return "rlsp";
-    case Method::kSaBStar: return "sab";
-    case Method::kPT: return "pt";
-    case Method::kRgcnRl:
-      break;
-  }
-  throw std::invalid_argument(
-      "optimizer_name: Method::kRgcnRl has no registry optimizer; use the "
-      "ActorCritic overload");
-}
-
 FloorplanPipeline::Prepared FloorplanPipeline::prepare(
     const netlist::Netlist& nl, std::mt19937_64& rng) const {
   Prepared prep;
@@ -410,19 +379,6 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   res.tt.dropped = tt.dropped();
   res.tt.entries = tt.size();
   return res;
-}
-
-PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
-                                      Method method,
-                                      std::mt19937_64& rng) const {
-  const std::string name = optimizer_name(method);  // throws for kRgcnRl
-  // Reuse the configured options only when they were written for this
-  // optimizer; a mismatched map (e.g. SA options driving a GA run through
-  // the shim) would otherwise throw on unknown keys.
-  metaheur::Options opts;
-  if (name == cfg_.optimizer) opts = cfg_.options;
-  const auto opt = metaheur::make_optimizer(name, opts);
-  return run(nl, *opt, rng, nullptr);
 }
 
 }  // namespace afp::core

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "metaheur/eval_cache.hpp"
+#include "metaheur/anneal.hpp"
 #include "numeric/parallel.hpp"
 
 namespace afp::metaheur {
@@ -14,28 +14,67 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 BaselineResult finish(std::string method, const floorplan::Instance& inst,
-                      const SequencePair& best, double spacing,
-                      Clock::time_point t0, long evals) {
+                      std::vector<geom::Rect> rects, Clock::time_point t0,
+                      long evals) {
   BaselineResult r;
   r.method = std::move(method);
-  r.rects = pack(inst, best, spacing);
+  r.rects = std::move(rects);
   r.eval = floorplan::evaluate_floorplan(inst, r.rects);
-  r.runtime_s = seconds_since(t0);
+  r.runtime_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.evaluations = evals;
   return r;
 }
 
-/// Random move type, uniform.
-Move random_move(std::mt19937_64& rng) {
-  std::uniform_int_distribution<int> d(0, kNumMoves - 1);
-  return static_cast<Move>(d(rng));
+/// Move-type preferences of the [13] agents and their softmax policy.
+using MovePrefs = std::array<double, kNumMoves>;
+
+MovePrefs softmax(const MovePrefs& theta) {
+  MovePrefs pi{};
+  const double mx = *std::max_element(theta.begin(), theta.end());
+  double sum = 0.0;
+  for (std::size_t m = 0; m < pi.size(); ++m) {
+    pi[m] = std::exp(theta[m] - mx);
+    sum += pi[m];
+  }
+  for (double& v : pi) v /= sum;
+  return pi;
 }
 
+/// Samples a move type from `pi` with one uniform draw.
+int sample_move(const MovePrefs& pi, std::mt19937_64& rng) {
+  const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+  double cum = 0.0;
+  for (int k = 0; k < kNumMoves; ++k) {
+    cum += pi[static_cast<std::size_t>(k)];
+    if (u <= cum) return k;
+  }
+  return kNumMoves - 1;
+}
+
+/// SA over either encoding: run_sa and run_sa_bstar.
+template <class Chain>
+BaselineResult run_anneal(const floorplan::Instance& inst, const SAParams& p,
+                          std::mt19937_64& rng, const char* method) {
+  const auto t0 = Clock::now();
+  const double spacing = resolve_spacing(inst, p.spacing_um);
+  typename Chain::Evaluator ev(inst, spacing, p.tt);
+  Annealer<Chain> chain;
+  chain.start(inst, rng, score_with(ev));
+  long evals = 1;
+
+  const double decay =
+      std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
+  double temp = p.t_start;
+  StopPoll stopped(p.stop);
+  for (int it = 0; it < p.iterations; ++it, temp *= decay) {
+    if (stopped()) break;  // best-so-far; caller classifies why
+    chain.step(temp, rng, score_with(ev));
+    ++evals;
+  }
+  return finish(method, inst, Chain::pack_state(inst, chain.best, spacing),
+                t0, evals);
+}
 
 /// Scores a batch of candidates on the shared thread pool.  pack/sp_cost
 /// draw no randomness, so population methods generate candidates serially
@@ -67,36 +106,12 @@ double resolve_spacing(const floorplan::Instance& inst, double spacing_um) {
 
 BaselineResult run_sa(const floorplan::Instance& inst, const SAParams& p,
                       std::mt19937_64& rng) {
-  const auto t0 = Clock::now();
-  const double spacing = resolve_spacing(inst, p.spacing_um);
-  SpEvaluator ev(inst, spacing, p.tt);
-  SequencePair cur = SequencePair::random(inst.num_blocks(), rng);
-  double cur_cost = ev.cost(cur);
-  SequencePair best = cur;
-  double best_cost = cur_cost;
-  long evals = 1;
+  return run_anneal<SpChain>(inst, p, rng, "SA");
+}
 
-  const double decay =
-      std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
-  double temp = p.t_start;
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-  StopPoll stopped(p.stop);
-  for (int it = 0; it < p.iterations; ++it, temp *= decay) {
-    if (stopped()) break;  // best-so-far; caller classifies why
-    SequencePair cand = cur;
-    apply_move(cand, random_move(rng), rng);
-    const double cost = ev.cost(cand);
-    ++evals;
-    if (cost < cur_cost || unif(rng) < std::exp((cur_cost - cost) / temp)) {
-      cur = std::move(cand);
-      cur_cost = cost;
-      if (cur_cost < best_cost) {
-        best = cur;
-        best_cost = cur_cost;
-      }
-    }
-  }
-  return finish("SA", inst, best, spacing, t0, evals);
+BaselineResult run_sa_bstar(const floorplan::Instance& inst,
+                            const BStarSAParams& p, std::mt19937_64& rng) {
+  return run_anneal<BStarChain>(inst, p, rng, "SA-B*[15]");
 }
 
 BaselineResult run_ga(const floorplan::Instance& inst, const GAParams& p,
@@ -163,7 +178,7 @@ BaselineResult run_ga(const floorplan::Instance& inst, const GAParams& p,
                 pb.shapes[static_cast<std::size_t>(b)];
         }
       }
-      if (unif(rng) < p.mutation_rate) apply_move(child, random_move(rng), rng);
+      if (unif(rng) < p.mutation_rate) SpChain::mutate(child, rng);
       children.push_back(std::move(child));
     }
     std::vector<double> child_cost = eval_population(inst, children, spacing);
@@ -184,9 +199,11 @@ BaselineResult run_ga(const floorplan::Instance& inst, const GAParams& p,
     cost = std::move(next_cost);
   }
   const auto best_it = std::min_element(cost.begin(), cost.end());
-  return finish("GA", inst,
-                pop[static_cast<std::size_t>(best_it - cost.begin())],
-                spacing, t0, evals);
+  return finish(
+      "GA", inst,
+      pack(inst, pop[static_cast<std::size_t>(best_it - cost.begin())],
+           spacing),
+      t0, evals);
 }
 
 BaselineResult run_pso(const floorplan::Instance& inst, const PSOParams& p,
@@ -285,7 +302,7 @@ BaselineResult run_pso(const floorplan::Instance& inst, const PSOParams& p,
     }
     update_bests(eval_swarm());
   }
-  return finish("PSO", inst, decode(gbest), spacing, t0, evals);
+  return finish("PSO", inst, pack(inst, decode(gbest), spacing), t0, evals);
 }
 
 BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
@@ -295,48 +312,26 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   SpEvaluator ev(inst, spacing, p.tt);
-  SequencePair cur = SequencePair::random(inst.num_blocks(), rng);
-  double cur_cost = ev.cost(cur);
-  SequencePair best = cur;
-  double best_cost = cur_cost;
+  Annealer<SpChain> chain;
+  chain.start(inst, rng, score_with(ev));
   long evals = 1;
 
-  std::array<double, kNumMoves> theta{};
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  MovePrefs theta{};
   const double decay =
       std::pow(p.t_end / p.t_start, 1.0 / std::max(1, p.iterations - 1));
   double temp = p.t_start;
-
-  auto policy = [&]() {
-    std::array<double, kNumMoves> pi{};
-    double mx = *std::max_element(theta.begin(), theta.end());
-    double sum = 0.0;
-    for (int m = 0; m < kNumMoves; ++m) {
-      pi[static_cast<std::size_t>(m)] = std::exp(theta[static_cast<std::size_t>(m)] - mx);
-      sum += pi[static_cast<std::size_t>(m)];
-    }
-    for (double& v : pi) v /= sum;
-    return pi;
-  };
-
   StopPoll stopped(p.stop);
   for (int it = 0; it < p.iterations; ++it, temp *= decay) {
     if (stopped()) break;
-    const auto pi = policy();
-    double u = unif(rng), cum = 0.0;
-    int m = kNumMoves - 1;
-    for (int k = 0; k < kNumMoves; ++k) {
-      cum += pi[static_cast<std::size_t>(k)];
-      if (u <= cum) {
-        m = k;
-        break;
-      }
-    }
-    SequencePair cand = cur;
-    apply_move(cand, static_cast<Move>(m), rng);
-    const double cost = ev.cost(cand);
+    const MovePrefs pi = softmax(theta);
+    const int m = sample_move(pi, rng);
+    const double before = chain.cur_cost;
+    const double cost =
+        chain.step(temp, rng, score_with(ev), [&](SequencePair& sp) {
+          apply_move(sp, static_cast<Move>(m), rng);
+        });
     ++evals;
-    const double improvement = cur_cost - cost;
+    const double improvement = before - cost;
     // Policy-gradient step on the proposal's improvement signal.
     for (int k = 0; k < kNumMoves; ++k) {
       const double indicator = (k == m) ? 1.0 : 0.0;
@@ -344,16 +339,9 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
           p.learning_rate * improvement *
           (indicator - pi[static_cast<std::size_t>(k)]);
     }
-    if (cost < cur_cost || unif(rng) < std::exp((cur_cost - cost) / temp)) {
-      cur = std::move(cand);
-      cur_cost = cost;
-      if (cur_cost < best_cost) {
-        best = cur;
-        best_cost = cur_cost;
-      }
-    }
   }
-  return finish("RL-SA[13]", inst, best, spacing, t0, evals);
+  return finish("RL-SA[13]", inst, pack(inst, chain.best, spacing), t0,
+                evals);
 }
 
 BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
@@ -364,23 +352,10 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   SpEvaluator ev(inst, spacing, p.tt);
-  std::array<double, kNumMoves> theta{};
+  MovePrefs theta{};
   SequencePair best = SequencePair::random(inst.num_blocks(), rng);
   double best_cost = ev.cost(best);
   long evals = 1;
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
-
-  auto policy = [&]() {
-    std::array<double, kNumMoves> pi{};
-    double mx = *std::max_element(theta.begin(), theta.end());
-    double sum = 0.0;
-    for (int m = 0; m < kNumMoves; ++m) {
-      pi[static_cast<std::size_t>(m)] = std::exp(theta[static_cast<std::size_t>(m)] - mx);
-      sum += pi[static_cast<std::size_t>(m)];
-    }
-    for (double& v : pi) v /= sum;
-    return pi;
-  };
 
   double reward_baseline = 0.0;
   StopPoll stopped(p.stop);
@@ -391,16 +366,7 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
     ++evals;
     std::vector<int> taken;
     for (int step = 0; step < p.steps_per_episode; ++step) {
-      const auto pi = policy();
-      double u = unif(rng), cum = 0.0;
-      int m = kNumMoves - 1;
-      for (int k = 0; k < kNumMoves; ++k) {
-        cum += pi[static_cast<std::size_t>(k)];
-        if (u <= cum) {
-          m = k;
-          break;
-        }
-      }
+      const int m = sample_move(softmax(theta), rng);
       SequencePair cand = cur;
       apply_move(cand, static_cast<Move>(m), rng);
       const double cost = ev.cost(cand);
@@ -418,7 +384,7 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
     const double episode_reward = -cur_cost;
     const double advantage = episode_reward - reward_baseline;
     reward_baseline = 0.9 * reward_baseline + 0.1 * episode_reward;
-    const auto pi = policy();
+    const MovePrefs pi = softmax(theta);
     for (int m : taken) {
       for (int k = 0; k < kNumMoves; ++k) {
         const double indicator = (k == m) ? 1.0 : 0.0;
@@ -429,33 +395,24 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
       }
     }
   }
-  return finish("RL[13]", inst, best, spacing, t0, evals);
+  return finish("RL[13]", inst, pack(inst, best, spacing), t0, evals);
 }
 
 double estimate_hpwl_min(const floorplan::Instance& inst,
                          std::mt19937_64& rng, int iterations) {
-  SequencePair cur = SequencePair::random(inst.num_blocks(), rng);
-  auto hp = [&](const SequencePair& sp) {
+  // Wirelength only, packed without spacing; the temperature scales with
+  // the best HPWL so far so the schedule is size-independent.
+  const auto hpwl = [&inst](const SequencePair& sp) {
     return floorplan::hpwl_of(inst, pack(inst, sp, 0.0));
   };
-  double cur_h = hp(cur);
-  double best = cur_h;
-  double temp = 1.0;
+  Annealer<SpChain> chain;
+  chain.start(inst, rng, hpwl);
   const double decay = std::pow(1e-3, 1.0 / std::max(1, iterations - 1));
-  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  double temp = 1.0;
   for (int it = 0; it < iterations; ++it, temp *= decay) {
-    SequencePair cand = cur;
-    std::uniform_int_distribution<int> d(0, kNumMoves - 1);
-    apply_move(cand, static_cast<Move>(d(rng)), rng);
-    const double h = hp(cand);
-    const double scale = std::max(1.0, best);
-    if (h < cur_h || unif(rng) < std::exp((cur_h - h) / (temp * scale))) {
-      cur = std::move(cand);
-      cur_h = h;
-      best = std::min(best, cur_h);
-    }
+    chain.step(temp * std::max(1.0, chain.best_cost), rng, hpwl);
   }
-  return std::max(1.0, best);
+  return std::max(1.0, chain.best_cost);
 }
 
 }  // namespace afp::metaheur

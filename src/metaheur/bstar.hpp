@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "floorplan/instance.hpp"
@@ -37,11 +38,9 @@ struct BStarTree {
 };
 
 /// Horizontal contour: max height per x interval.  Linear-scan segment
-/// list — exact and ample for tens of blocks.  Copyable on purpose: the
-/// incremental evaluator (metaheur/eval_cache) snapshots the contour at
-/// checkpoints and replays only the DFS suffix a move invalidated, so the
-/// full packer and the delta packer must share one implementation to stay
-/// bitwise identical.
+/// list — exact and ample for tens of blocks.  Updated in place, so a
+/// contour reused across packings (BStarPacker) allocates nothing once its
+/// buffers have grown.
 class Contour {
  public:
   /// Max height over [x0, x1).
@@ -91,8 +90,26 @@ class Contour {
   std::vector<Seg> scratch_;  ///< update() staging (at most 3 segments)
 };
 
+/// The B*-tree contour packer: one preorder pass that places every block
+/// on the contour.  The contour and DFS stack are members, so a search
+/// chain's evaluator reuses their buffers across packings; pack_bstar runs
+/// the same pass on a temporary.
+class BStarPacker {
+ public:
+  /// Packs `tree` into `*rects` (resized to the tree size).  `spacing_um`
+  /// pads every block on all sides (congestion margin).  When `moved` is
+  /// non-null it receives, in preorder, every block whose rect bits differ
+  /// from what `*rects` held before the call.
+  void pack(const floorplan::Instance& inst, const BStarTree& tree,
+            double spacing_um, std::vector<geom::Rect>* rects,
+            std::vector<int>* moved = nullptr);
+
+ private:
+  Contour contour_;
+  std::vector<std::pair<int, double>> stack_;  ///< (block, packed x)
+};
+
 /// Packs the tree into rectangles using the contour algorithm.
-/// `spacing_um` pads every block on all sides (congestion margin).
 std::vector<geom::Rect> pack_bstar(const floorplan::Instance& inst,
                                    const BStarTree& tree,
                                    double spacing_um = 0.0);
@@ -107,15 +124,8 @@ constexpr int kNumBStarMoves = 3;
 
 void apply_bstar_move(BStarTree& tree, BStarMove move, std::mt19937_64& rng);
 
-/// Simulated annealing over B*-trees; same cost as the SP baselines.
-struct BStarSAParams {
-  int iterations = 4000;
-  double t_start = 2.0;
-  double t_end = 1e-3;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per move; null = never
-  TranspositionCache* tt = nullptr;  ///< optional shared memo (job-scoped)
-};
+/// Simulated annealing over B*-trees; same cost and schedule as run_sa.
+using BStarSAParams = SAParams;
 BaselineResult run_sa_bstar(const floorplan::Instance& inst,
                             const BStarSAParams& p, std::mt19937_64& rng);
 

@@ -523,92 +523,10 @@ double BStarEvaluator::cost(const BStarTree& tree) {
   return full_cost;
 }
 
-void BStarEvaluator::plan_steps(const BStarTree& tree,
-                                std::vector<Step>* steps) {
-  // The packed x of a node depends only on the tree topology and widths,
-  // never on the contour, so the whole DFS visit order with x positions can
-  // be planned in O(n) and diffed against the cached plan.  Push order
-  // (right, then left) matches pack_bstar so the preorder — and therefore
-  // every contour operation — is identical.
-  steps->clear();
-  auto& st = plan_stack_;
-  st.clear();
-  st.reserve(tree.left.size());
-  st.emplace_back(tree.root, 0.0);
-  while (!st.empty()) {
-    const auto [b, x] = st.back();
-    st.pop_back();
-    const int shape = tree.shapes[z(b)];
-    const auto& sh = inst_.blocks[z(b)].shapes[z(shape)];
-    steps->push_back({b, shape, x});
-    const int l = tree.left[z(b)];
-    const int r = tree.right[z(b)];
-    if (r >= 0) st.emplace_back(r, x);
-    if (l >= 0) st.emplace_back(l, x + (sh.w + 2.0 * spacing_));
-  }
-}
-
 double BStarEvaluator::eval_delta(const BStarTree& tree) {
-  const int n = tree.size();
-  plan_steps(tree, &scratch_steps_);
-  const bool first = !has_state_ || static_cast<int>(rects_.size()) != n;
-  if (first) rects_.assign(z(n), {});
-
-  // Longest common step prefix: contour state before step i depends only on
-  // steps < i, so snapshots at or before the first divergence stay valid.
-  int prefix = 0;
-  if (!first) {
-    const int common =
-        static_cast<int>(std::min(steps_.size(), scratch_steps_.size()));
-    while (prefix < common) {
-      const Step& a = steps_[z(prefix)];
-      const Step& b = scratch_steps_[z(prefix)];
-      if (a.node != b.node || a.shape != b.shape || !same_bits(a.x, b.x)) break;
-      ++prefix;
-    }
-  }
-  // Snapshot stride scales with n: each snapshot copies the whole contour,
-  // so a fixed stride would make the copies themselves O(n^2 / stride) per
-  // replay on large instances.  Slot j holds the contour before step
-  // j * stride; a slot stays valid while its step is within the common
-  // prefix, and replay resumes from the last valid one.
-  const int stride = std::max(kSnapshotStride, n / 8);
-  const int nslots = n / stride + 1;
-  if (static_cast<int>(snapshots_.size()) < nslots) {
-    snapshots_.resize(z(nslots));
-  }
-  nvalid_ = first ? 0 : std::min(nvalid_, prefix / stride + 1);
-  int begin = 0;
-  work_.clear();
-  if (nvalid_ > 0) {
-    work_ = snapshots_[z(nvalid_ - 1)].contour;
-    begin = snapshots_[z(nvalid_ - 1)].step;
-  }
-
-  moved_.clear();
-  for (int i = begin; i < n; ++i) {
-    if (i % stride == 0 && i / stride >= nvalid_) {
-      const int j = i / stride;
-      snapshots_[z(j)].step = i;
-      snapshots_[z(j)].contour = work_;
-      nvalid_ = j + 1;
-    }
-    const Step& s = scratch_steps_[z(i)];
-    const auto& sh = inst_.blocks[z(s.node)].shapes[z(s.shape)];
-    const double wb = sh.w + 2.0 * spacing_;
-    const double hb = sh.h + 2.0 * spacing_;
-    const double y = work_.query(s.x, s.x + wb);
-    work_.update(s.x, s.x + wb, y + hb);
-    const geom::Rect r{s.x + spacing_, y + spacing_, sh.w, sh.h};
-    if (first || !same_rect(r, rects_[z(s.node)])) {
-      rects_[z(s.node)] = r;
-      moved_.push_back(s.node);
-    }
-  }
-  steps_.swap(scratch_steps_);
-  full_rescan_ = first;
-  has_state_ = true;
-  return scorer_.cost(rects_, moved_, full_rescan_);
+  const bool first = rects_.size() != static_cast<std::size_t>(tree.size());
+  packer_.pack(inst_, tree, spacing_, &rects_, &moved_);
+  return scorer_.cost(rects_, moved_, first);
 }
 
 }  // namespace afp::metaheur

@@ -11,9 +11,10 @@
 //    longest paths only for blocks with a changed predecessor set or a
 //    dirty predecessor value — every recomputed coordinate runs the exact
 //    inner loop of pack(), so results are bitwise identical.
-//  * BStarEvaluator compares the new tree's preorder step list against the
-//    cached one, restores the contour from a periodic snapshot at the last
-//    common step, and replays only the DFS suffix.
+//  * BStarEvaluator re-packs with the one B*-tree contour pass
+//    (BStarPacker, shared with pack_bstar) over reusable buffers and
+//    reports which blocks' rects moved.  A B* move disturbs the preorder
+//    early, so replaying only a suffix measured no faster (16-250 blocks).
 //  * floorplan::HpwlCache re-scans only nets adjacent to moved blocks.
 //  * TranspositionCache memoizes encoding -> cost across restarts/replicas
 //    of one job (dual-SplitMix64 128-bit keys, striped locks).  Cached
@@ -165,9 +166,9 @@ class SpEvaluator {
   std::vector<double> fenx_, feny_;
 };
 
-/// Incremental cost evaluator over B*-trees: caches the preorder step list
-/// (node, shape, x) plus periodic contour snapshots, and replays only the
-/// DFS suffix after the first step a move changed.
+/// Cost evaluator over B*-trees: one BStarPacker pass per evaluation into
+/// reusable member buffers, then HPWL is rescanned only for nets adjacent to
+/// blocks whose rect moved.
 class BStarEvaluator {
  public:
   BStarEvaluator(const floorplan::Instance& inst, double spacing,
@@ -177,40 +178,15 @@ class BStarEvaluator {
   double cost(const BStarTree& tree);
 
  private:
-  struct Step {
-    int node = -1;
-    int shape = -1;
-    double x = 0.0;
-  };
-  struct Snapshot {
-    int step = 0;  ///< contour state BEFORE replaying this step index
-    Contour contour;
-  };
-  static constexpr int kSnapshotStride = 8;
-
   double eval_delta(const BStarTree& tree);
-  /// Preorder step list with x positions (no contour work), O(n).
-  void plan_steps(const BStarTree& tree, std::vector<Step>* steps);
 
   const floorplan::Instance& inst_;
   double spacing_;
   TranspositionCache* tt_;
   detail::RectScorer scorer_;
-
-  bool has_state_ = false;
-  bool full_rescan_ = false;
-  std::vector<Step> steps_;
-  /// Fixed snapshot slots (slot j holds the contour before step
-  /// j * stride); the first nvalid_ slots are consistent with steps_.
-  /// Slots are assigned in place so their segment buffers keep capacity —
-  /// steady-state replays allocate nothing.
-  std::vector<Snapshot> snapshots_;
-  int nvalid_ = 0;
-  Contour work_;  ///< replay contour, kept for its buffer capacity
+  BStarPacker packer_;
   std::vector<geom::Rect> rects_;
-  std::vector<int> moved_;
-  std::vector<Step> scratch_steps_;
-  std::vector<std::pair<int, double>> plan_stack_;
+  std::vector<int> moved_;  ///< blocks whose rect changed in the last eval
 };
 
 }  // namespace afp::metaheur

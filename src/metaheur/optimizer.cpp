@@ -174,26 +174,34 @@ std::vector<OptionSpec> Optimizer::describe() {
 
 // ------------------------------------------------------ built-in optimizers
 //
-// Each wrapper owns the legacy parameter struct and forwards run() to the
-// legacy entry point so the registry path is bitwise identical to the old
-// enum path.  budget.iterations overrides the primary budget knob only.
+// Each wrapper owns its run_* entry point's parameter struct and forwards
+// run() to it, so a registry run is bitwise identical to calling run_*
+// directly.  budget.iterations overrides the primary budget knob only.
 
 namespace {
 
 constexpr const char* kSeqPair = "sequence-pair";
 constexpr const char* kBStar = "b*-tree";
 
+/// Simulated annealing; `Rep` selects the encoding so "sa" and "sab" are
+/// two registry entries over one implementation.
+template <Representation Rep>
 class SaOptimizer : public Optimizer {
  public:
-  const char* name() const override { return "sa"; }
-  const char* encoding() const override { return kSeqPair; }
+  const char* name() const override {
+    return Rep == Representation::kSequencePair ? "sa" : "sab";
+  }
+  const char* encoding() const override {
+    return Rep == Representation::kSequencePair ? kSeqPair : kBStar;
+  }
   SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
                    std::mt19937_64& rng) const override {
     SAParams p = p_;
     if (budget.iterations > 0) p.iterations = budget.iterations;
     p.stop = budget.stop;
     p.tt = budget.tt;
-    return run_sa(inst, p, rng);
+    return Rep == Representation::kSequencePair ? run_sa(inst, p, rng)
+                                                : run_sa_bstar(inst, p, rng);
   }
 
  protected:
@@ -317,32 +325,6 @@ class RlspOptimizer : public Optimizer {
   RLSPParams p_;
 };
 
-class SaBstarOptimizer : public Optimizer {
- public:
-  const char* name() const override { return "sab"; }
-  const char* encoding() const override { return kBStar; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    BStarSAParams p = p_;
-    if (budget.iterations > 0) p.iterations = budget.iterations;
-    p.stop = budget.stop;
-    p.tt = budget.tt;
-    return run_sa_bstar(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("iterations", &p_.iterations, "annealing move budget", 0);
-    b.bind("t_start", &p_.t_start, "initial temperature");
-    b.bind("t_end", &p_.t_end, "final temperature");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  BStarSAParams p_;
-};
-
 /// Parallel tempering; `Rep` selects the chain encoding so "pt" and
 /// "pt-bstar" are two registry entries over one implementation.
 template <Representation Rep>
@@ -401,12 +383,12 @@ std::unique_ptr<Optimizer> make() {
 // ---------------------------------------------------------------- registry
 
 OptimizerRegistry::OptimizerRegistry() {
-  add("sa", &make<SaOptimizer>);
+  add("sa", &make<SaOptimizer<Representation::kSequencePair>>);
   add("ga", &make<GaOptimizer>);
   add("pso", &make<PsoOptimizer>);
   add("rlsa", &make<RlsaOptimizer>);
   add("rlsp", &make<RlspOptimizer>);
-  add("sab", &make<SaBstarOptimizer>);
+  add("sab", &make<SaOptimizer<Representation::kBStarTree>>);
   add("pt", &make<PtOptimizer<Representation::kSequencePair>>);
   add("pt-bstar", &make<PtOptimizer<Representation::kBStarTree>>);
 }

@@ -12,9 +12,10 @@
 // it up without modification.
 //
 // Parity contract: a registry optimizer constructed from its name and
-// defaults calls the exact legacy run_* entry point with the exact legacy
-// parameter struct, so results are bitwise identical to the pre-registry
-// `core::Method` enum path for every method, thread count and seed.
+// defaults calls its run_* entry point with that entry point's default
+// parameter struct, so results are bitwise identical to a direct run_* call
+// for every method, thread count and seed (pinned across commits by
+// tests/search_golden_test.cpp).
 #pragma once
 
 #include <climits>

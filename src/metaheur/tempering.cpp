@@ -5,52 +5,16 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "metaheur/bstar.hpp"
-#include "metaheur/eval_cache.hpp"
+#include "metaheur/anneal.hpp"
 #include "numeric/parallel.hpp"
 
 namespace afp::metaheur {
 
 namespace {
 
-/// Representation adapters: a uniform chain interface over the two
-/// encodings.  Each call draws only from the replica's own stream.
-struct SpChain {
-  using State = SequencePair;
-  using Evaluator = SpEvaluator;
-  static State random(const floorplan::Instance& inst, std::mt19937_64& rng) {
-    return SequencePair::random(inst.num_blocks(), rng);
-  }
-  static void mutate(State& s, std::mt19937_64& rng) {
-    std::uniform_int_distribution<int> d(0, kNumMoves - 1);
-    apply_move(s, static_cast<Move>(d(rng)), rng);
-  }
-  static std::vector<geom::Rect> pack_state(const floorplan::Instance& inst,
-                                            const State& s, double spacing) {
-    return pack(inst, s, spacing);
-  }
-};
-
-struct BStarChain {
-  using State = BStarTree;
-  using Evaluator = BStarEvaluator;
-  static State random(const floorplan::Instance& inst, std::mt19937_64& rng) {
-    return BStarTree::random(inst.num_blocks(), rng);
-  }
-  static void mutate(State& s, std::mt19937_64& rng) {
-    std::uniform_int_distribution<int> d(0, kNumBStarMoves - 1);
-    apply_bstar_move(s, static_cast<BStarMove>(d(rng)), rng);
-  }
-  static std::vector<geom::Rect> pack_state(const floorplan::Instance& inst,
-                                            const State& s, double spacing) {
-    return pack_bstar(inst, s, spacing);
-  }
-};
-
 template <class Chain>
 BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
                            std::uint64_t base_seed, const char* method) {
-  using State = typename Chain::State;
   if (p.replicas < 2) {
     throw std::invalid_argument("run_pt: replicas must be >= 2");
   }
@@ -90,18 +54,13 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
 
   // Initial states + costs, one replica per chunk (chains never re-enter
   // the pool: nested parallel_for inside pack/sp_cost runs serially there).
-  std::vector<State> state(kz(K));
-  std::vector<double> cost(kz(K));
+  std::vector<Annealer<Chain>> chain(kz(K));
   num::parallel_for(K, 1, [&](std::int64_t k0, std::int64_t k1) {
     for (std::int64_t k = k0; k < k1; ++k) {
-      auto& s = state[static_cast<std::size_t>(k)];
-      s = Chain::random(inst, rngs[static_cast<std::size_t>(k)]);
-      cost[static_cast<std::size_t>(k)] =
-          evals_by_replica[static_cast<std::size_t>(k)].cost(s);
+      const std::size_t ks = static_cast<std::size_t>(k);
+      chain[ks].start(inst, rngs[ks], score_with(evals_by_replica[ks]));
     }
   });
-  std::vector<State> best_state = state;
-  std::vector<double> best_cost = cost;
 
   // Per-replica move budgets: share of the K * iterations total
   // proportional to budget_skew^-k, remainder handed to the coldest chains
@@ -130,11 +89,14 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
   // annealing schedule each chain traverses over its own budget.  The auto
   // t_hot is floored at t_cold so a flat initial cost spread degenerates to
   // a constant ladder instead of an invalid one.
+  std::vector<double> initial_cost(kz(K));
+  for (int k = 0; k < K; ++k) initial_cost[kz(k)] = chain[kz(k)].cur_cost;
   const double t_hot =
       p.anneal ? 0.0
                : (p.t_hot >= 0.0
                       ? p.t_hot
-                      : std::max(auto_hot_temperature(cost), p.t_cold));
+                      : std::max(auto_hot_temperature(initial_cost),
+                                 p.t_cold));
   const std::vector<double> rung =
       p.anneal ? geometric_ladder(1.0, p.hot_factor, K)
                : geometric_ladder(p.t_cold, t_hot, K);
@@ -181,24 +143,12 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
     num::parallel_for(K, 1, [&](std::int64_t k0, std::int64_t k1) {
       for (std::int64_t k = k0; k < k1; ++k) {
         const std::size_t ks = static_cast<std::size_t>(k);
-        auto& rng = rngs[ks];
-        std::uniform_real_distribution<double> u01(0.0, 1.0);
         StopPoll stopped(p.stop);
         for (long it = done[ks]; it < next[ks]; ++it) {
           if (stopped()) break;
           ++moves[ks];
-          State cand = state[ks];
-          Chain::mutate(cand, rng);
-          const double c = evals_by_replica[ks].cost(cand);
-          const double t = temp_at(static_cast<int>(k), it);
-          if (c < cost[ks] || u01(rng) < std::exp((cost[ks] - c) / t)) {
-            state[ks] = std::move(cand);
-            cost[ks] = c;
-            if (cost[ks] < best_cost[ks]) {
-              best_state[ks] = state[ks];
-              best_cost[ks] = cost[ks];
-            }
-          }
+          chain[ks].step(temp_at(static_cast<int>(k), it), rngs[ks],
+                         score_with(evals_by_replica[ks]));
         }
       }
     });
@@ -207,14 +157,16 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
     // Serial exchange round: even pairs on even rounds, odd pairs on odd
     // rounds, acceptance uniforms drawn in pair order from the swap stream.
     for (int i = round % 2; i + 1 < K; i += 2) {
+      auto& lo = chain[kz(i)];
+      auto& hi = chain[kz(i + 1)];
       const double pr = pt_swap_probability(
-          cost[kz(i)], cost[kz(i + 1)], temp_at(i, done[kz(i)]),
+          lo.cur_cost, hi.cur_cost, temp_at(i, done[kz(i)]),
           temp_at(i + 1, done[kz(i + 1)]));
       const double u = unif(swap_rng);
       ++window_attempts;
-      if (u < pr) {
-        std::swap(state[kz(i)], state[kz(i + 1)]);
-        std::swap(cost[kz(i)], cost[kz(i + 1)]);
+      if (u < pr) {  // exchange current states; each chain keeps its best
+        std::swap(lo.cur, hi.cur);
+        std::swap(lo.cur_cost, hi.cur_cost);
         ++window_accepts;
       }
     }
@@ -233,11 +185,11 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
 
   int win = 0;
   for (int k = 1; k < K; ++k) {
-    if (best_cost[kz(k)] < best_cost[kz(win)]) win = k;
+    if (chain[kz(k)].best_cost < chain[kz(win)].best_cost) win = k;
   }
   BaselineResult r;
   r.method = method;
-  r.rects = Chain::pack_state(inst, best_state[kz(win)], spacing);
+  r.rects = Chain::pack_state(inst, chain[kz(win)].best, spacing);
   r.eval = floorplan::evaluate_floorplan(inst, r.rects);
   // K initial packings + one per performed move (== K * (1 + iterations)
   // for an uninterrupted run; less when a stop token cut chains short).

@@ -33,9 +33,9 @@ namespace afp::num {
 /// When true, matmul / conv2d / conv_transpose2d run the original scalar
 /// reference kernels instead of the blocked GEMM path (and linear_relu
 /// decomposes into relu(linear(...))).  Used by the parity tests and
-/// bench_perf_core; initialized from AFP_NAIVE_KERNELS and equivalent to
-/// the "naive" AFP_KERNEL_TIER value.  Tier selection beyond the naive
-/// toggle lives in numeric/simd.hpp.
+/// bench_perf_core; equivalent to the "naive" AFP_KERNEL_TIER value, which
+/// initializes it.  Tier selection beyond the naive toggle lives in
+/// numeric/simd.hpp.
 bool naive_kernels();
 void set_naive_kernels(bool naive);
 

@@ -625,7 +625,7 @@ KernelTier resolve_auto() {
 }
 
 struct TierState {
-  bool naive = false;         ///< legacy AFP_NAIVE_KERNELS reference toggle
+  bool naive = false;         ///< naive reference toggle (set_naive_kernels)
   KernelTier tier = KernelTier::kScalar;  ///< active fast tier
 };
 
@@ -641,9 +641,6 @@ TierState init_state() {
         st.tier = KernelTier::kAvx2;
       // kAuto / unsupported avx2 keep the resolved default.
     }
-  }
-  if (const char* s = std::getenv("AFP_NAIVE_KERNELS")) {
-    if (std::atoi(s) != 0) st.naive = true;
   }
   return st;
 }

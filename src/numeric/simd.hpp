@@ -11,8 +11,7 @@
 //
 // Selection: AFP_KERNEL_TIER={naive,scalar,avx2,auto} at startup (default
 // auto = avx2 when the CPU supports it, else scalar), overridable at runtime
-// via set_kernel_tier().  The legacy AFP_NAIVE_KERNELS=1 toggle maps onto
-// the naive tier.
+// via set_kernel_tier() or the naive toggle set_naive_kernels().
 //
 // Determinism contract (same as numeric/parallel.hpp): within a tier, every
 // output element is produced by a fixed floating-point operation sequence

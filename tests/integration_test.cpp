@@ -79,8 +79,8 @@ TEST(Pipeline, DeterministicGivenSeed) {
   cfg.options = {{"iterations", "300"}};
   core::FloorplanPipeline pipe(cfg);
   std::mt19937_64 r1(11), r2(11);
-  const auto a = pipe.run(netlist::make_ota2(), core::Method::kSA, r1);
-  const auto b = pipe.run(netlist::make_ota2(), core::Method::kSA, r2);
+  const auto a = pipe.run(netlist::make_ota2(), r1);
+  const auto b = pipe.run(netlist::make_ota2(), r2);
   ASSERT_EQ(a.rects.size(), b.rects.size());
   for (std::size_t i = 0; i < a.rects.size(); ++i) {
     EXPECT_EQ(a.rects[i], b.rects[i]);
@@ -97,7 +97,7 @@ TEST(Pipeline, RunsFromSpiceText) {
   core::PipelineConfig cfg;
   cfg.options = {{"iterations", "300"}};
   core::FloorplanPipeline pipe(cfg);
-  const auto res = pipe.run(nl, core::Method::kSA, rng);
+  const auto res = pipe.run(nl, rng);
   EXPECT_EQ(res.rects.size(), 3u);
   EXPECT_EQ(res.route.failed_nets, 0);
 }
@@ -108,7 +108,7 @@ TEST(Pipeline, ConstrainedRunSatisfiesConstraintsWhenComplete) {
   cfg.options = {{"iterations", "2500"}};
   core::FloorplanPipeline pipe(cfg);
   std::mt19937_64 rng(5);
-  const auto res = pipe.run(netlist::make_ota_small(), core::Method::kSA, rng);
+  const auto res = pipe.run(netlist::make_ota_small(), rng);
   // SA may or may not satisfy the constraints (soft penalty), but the
   // evaluation must report it consistently.
   EXPECT_EQ(res.eval.constraints_ok,

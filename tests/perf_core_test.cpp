@@ -348,7 +348,7 @@ TEST(ScratchArena, NoAllocationGrowthAcrossTrainingIterations) {
   // and per-image dW partials all reuse their slabs.
   //
   // The naive reference kernels bypass the arena entirely, so pin a fast
-  // tier for the duration (the binary may run under AFP_NAIVE_KERNELS=1).
+  // tier for the duration (the binary may run under AFP_KERNEL_TIER=naive).
   const bool naive_entry = naive_kernels();
   set_naive_kernels(false);
   auto rng = rng_fixed();

@@ -886,7 +886,9 @@ TEST_F(ServiceE2E, JournalReplayAfterSimulatedCrashSurfacesOrphans) {
   // The replayed journal was reset: a finished job leaves nothing behind.
   const auto ok = fresh.submit("ota_small", 5, 0, config_json(40));
   EXPECT_EQ(fresh.await_result(ok.job).status, "done");
-  EXPECT_EQ(server_->stats_snapshot().journal_live, 0u);
+  EXPECT_TRUE(wait_stats([](const service::ServerStats& st) {
+    return st.journal_live == 0;
+  }));
 }
 
 TEST_F(ServiceE2E, InjectedFaultsDoNotPerturbOtherSessionsJobs) {

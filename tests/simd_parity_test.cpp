@@ -88,7 +88,7 @@ TEST(KernelTier, ParseAndNames) {
 }
 
 TEST(KernelTier, NaiveToggleInterop) {
-  // The legacy AFP_NAIVE_KERNELS toggle and the naive tier are one state.
+  // The set_naive_kernels toggle and the naive tier are one state.
   const KernelTier entry = kernel_tier();
   set_kernel_tier(KernelTier::kNaive);
   EXPECT_TRUE(naive_kernels());

@@ -770,17 +770,10 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
               "seed %llu\n",
               jobs.size(), setup.baseline.c_str(), num::num_threads(),
               static_cast<unsigned long long>(setup.seed));
-  std::vector<core::JobReport> reports(jobs.size());
-  num::parallel_for(
-      static_cast<std::int64_t>(jobs.size()), 1,
-      [&](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const auto j = static_cast<std::size_t>(b);
-          reports[j] = core::JobService::run_job(
-              jobs[j], j, core::JobService::job_seed(setup.seed, j), nullptr,
-              nullptr);
-        }
-      });
+  core::JobServiceOptions batch;
+  batch.base_seed = setup.seed;
+  const std::vector<core::JobReport> reports =
+      core::JobService::run_batch(jobs, batch);
 
   std::printf("\n%-24s %-10s %12s %12s %11s %8s\n", "instance", "status",
               "cost", "HPWL(um)", "constraints", "blocks");
