@@ -212,25 +212,40 @@ JobReport JobService::run_job(const JobSpec& spec, std::size_t id,
 }
 
 JobService::JobService(JobServiceOptions opts) : opts_(std::move(opts)) {
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  workers_.resize(static_cast<std::size_t>(num::num_threads()));
+  try {
+    for (auto& w : workers_) w = std::thread([this] { worker_loop(); });
+  } catch (...) {
+    stop_workers();  // never leave a started worker unjoined
+    throw;
+  }
 }
 
-JobService::~JobService() {
+JobService::~JobService() { stop_workers(); }
+
+void JobService::stop_workers() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     stop_ = true;
   }
   work_cv_.notify_all();
-  dispatcher_.join();
+  for (auto& w : workers_) {
+    if (w.joinable()) w.join();
+  }
 }
 
 JobService::Handle JobService::submit(JobSpec spec) {
+  return enqueue(std::move(spec), std::nullopt);
+}
+
+JobService::Handle JobService::enqueue(JobSpec spec,
+                                       std::optional<std::size_t> id) {
   Handle handle;
   {
     std::unique_lock<std::mutex> lock(mu_);
     Pending p;
     p.spec = std::move(spec);
-    p.id = next_id_++;
+    p.id = id ? *id : next_id_++;
     if (opts_.cancel) p.cancel = opts_.cancel->child();
     handle.id = p.id;
     handle.cancel = p.cancel;
@@ -246,65 +261,40 @@ void JobService::wait_all() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-void JobService::dispatch_loop() {
+void JobService::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty() && stop_) return;
-      // Drain everything queued so far into one pool fan-out; jobs that
-      // arrive while it runs form the next batch.  Seeds depend only on
-      // submission order, so batch grouping never changes results.
-      batch.reserve(queue_.size());
-      while (!queue_.empty()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      in_flight_ += batch.size();
-    }
-    num::parallel_for(
-        static_cast<std::int64_t>(batch.size()), 1,
-        [&](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t b = b0; b < b1; ++b) {
-            Pending& p = batch[static_cast<std::size_t>(b)];
-            const std::uint64_t seed =
-                p.spec.seed ? p.spec.seed : job_seed(opts_.base_seed, p.id);
-            p.promise.set_value(
-                run_job(p.spec, p.id, seed, &p.cancel, opts_.on_progress));
-          }
-        });
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      in_flight_ -= batch.size();
-    }
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and the queue is drained
+    Pending p = std::move(queue_.front());
+    queue_.pop_front();
+    ++in_flight_;
+    lock.unlock();
+    // The seed depends only on the job id, never on worker or timing.
+    const std::uint64_t seed =
+        p.spec.seed ? p.spec.seed : job_seed(opts_.base_seed, p.id);
+    p.promise.set_value(
+        run_job(p.spec, p.id, seed, &p.cancel, opts_.on_progress));
+    lock.lock();
+    --in_flight_;
     idle_cv_.notify_all();
   }
 }
 
-std::vector<JobReport> JobService::run_batch(const std::vector<JobSpec>& jobs,
-                                             const JobServiceOptions& opts) {
-  std::vector<JobReport> reports(jobs.size());
-  // Every batch entry gets a real CancelToken (a child of opts.cancel when
-  // one is set): the watchdog deadline, batch-wide cancellation and
-  // mid-run deadline arming all work exactly as they do on the dispatcher
-  // path, instead of being silently dropped by a null token.
-  std::vector<CancelToken> tokens;
-  tokens.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    tokens.push_back(opts.cancel ? opts.cancel->child() : CancelToken{});
+std::vector<JobReport> JobService::run_batch(
+    std::vector<JobSpec> jobs, const JobServiceOptions& opts,
+    const std::vector<std::size_t>& ids) {
+  if (!ids.empty() && ids.size() != jobs.size()) {
+    throw std::invalid_argument("run_batch: one id per job expected");
   }
-  num::parallel_for(
-      static_cast<std::int64_t>(jobs.size()), 1,
-      [&](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const auto id = static_cast<std::size_t>(b);
-          const std::uint64_t seed =
-              jobs[id].seed ? jobs[id].seed : job_seed(opts.base_seed, id);
-          reports[id] = run_job(jobs[id], id, seed, &tokens[id],
-                                opts.on_progress);
-        }
-      });
+  JobService service(opts);
+  std::vector<Handle> handles;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    handles.push_back(
+        service.enqueue(std::move(jobs[i]), ids.empty() ? i : ids[i]));
+  }
+  std::vector<JobReport> reports;
+  for (const Handle& h : handles) reports.push_back(h.report.get());
   return reports;
 }
 

@@ -1,9 +1,10 @@
 // Async batch front end for the floorplanning pipeline.
 //
-// A JobService accepts N (netlist, PipelineConfig) jobs, schedules them on
-// the shared numeric thread pool (one job per parallel_for chunk — a job
-// never re-enters the pool, so per-job searches stay thread-count
-// invariant), and exposes:
+// A JobService accepts N (netlist, PipelineConfig) jobs and runs them on
+// num::num_threads() workers (counted at construction), each pulling one
+// queued job at a time; a job's own loops (restarts, PT replicas, GA/PSO
+// populations) use the shared numeric pool when it is free and run inline
+// otherwise — results do not depend on thread count.  It exposes:
 //
 //   * futures        — submit() returns a Handle with a shared_future
 //                      resolving to the job's JobReport,
@@ -19,14 +20,15 @@
 //
 // Reproducibility: job k (in submission order) always runs under the rng
 // seed job_seed(base_seed, k) — a SplitMix64 stream independent of thread
-// count, batch grouping and submission timing — so a batch's reports are
-// bitwise identical across runs and pool sizes.
+// count, worker assignment and submission timing — so a batch's reports
+// are bitwise identical across runs and pool sizes.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -139,13 +141,13 @@ class JobService {
 
   explicit JobService(JobServiceOptions opts = {});
   /// Drains the queue (blocks until every submitted job reached a terminal
-  /// state) and joins the dispatcher.
+  /// state) and joins the workers.
   ~JobService();
 
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
 
-  /// Enqueues a job; the dispatcher fans queued jobs out on the pool.
+  /// Enqueues a job as the next id; the first free worker runs it.
   Handle submit(JobSpec spec);
 
   /// Blocks until every job submitted so far reached a terminal state.
@@ -194,11 +196,13 @@ class JobService {
   /// NaN/Inf into reports.
   static JobError validate_result(const PipelineResult& result);
 
-  /// Convenience: run a whole batch on the pool and return the reports in
-  /// job order.  Equivalent to submitting every job to a fresh service and
-  /// collecting the futures — same seeds, same determinism contract.
-  static std::vector<JobReport> run_batch(const std::vector<JobSpec>& jobs,
-                                          const JobServiceOptions& opts = {});
+  /// Convenience: submits a batch to a fresh service and returns the
+  /// reports in batch order.  Entry i runs as job ids[i] (report id, seed
+  /// job_seed(base_seed, ids[i]), fault site), or as job i when `ids` is
+  /// empty; `afp --batch` passes manifest positions.
+  static std::vector<JobReport> run_batch(
+      std::vector<JobSpec> jobs, const JobServiceOptions& opts = {},
+      const std::vector<std::size_t>& ids = {});
 
  private:
   struct Pending {
@@ -208,17 +212,21 @@ class JobService {
     std::promise<JobReport> promise;
   };
 
-  void dispatch_loop();
+  /// Queues `spec` as job `id`, or as the next submission-order id.
+  Handle enqueue(JobSpec spec, std::optional<std::size_t> id);
+  void worker_loop();
+  /// Lets the workers drain the queue, then joins them.
+  void stop_workers();
 
   JobServiceOptions opts_;
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< queue became non-empty / stopping
-  std::condition_variable idle_cv_;   ///< queue drained and nothing in flight
+  std::condition_variable idle_cv_;   ///< a job finished
   std::deque<Pending> queue_;
   std::size_t next_id_ = 0;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace afp::core

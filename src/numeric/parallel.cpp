@@ -57,7 +57,14 @@ class ThreadPool {
   }
 
   void run(std::int64_t n, std::int64_t grain, const ParallelBody& body) {
-    std::lock_guard<std::mutex> job_lock(job_mutex_);
+    // A caller that finds the pool busy with another caller's loop runs its
+    // own loop inline instead of waiting, so concurrent callers (JobService
+    // workers running nested-parallel jobs) never stall on each other.
+    std::unique_lock<std::mutex> job_lock(job_mutex_, std::try_to_lock);
+    if (!job_lock.owns_lock()) {
+      body(0, n);
+      return;
+    }
     const std::int64_t max_chunks =
         std::max<std::int64_t>(1, (n + grain - 1) / grain);
     const std::int64_t chunks = std::min<std::int64_t>(max_chunks, threads_);

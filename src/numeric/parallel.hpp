@@ -31,7 +31,8 @@ void set_num_threads(int n);
 
 /// Runs body over [0, n) in parallel chunks of at least `grain` indices.
 /// Falls back to a single inline call when the range is small, the pool has
-/// one thread, or the caller is itself a pool worker.
+/// one thread, the caller is itself a pool worker, or another caller's loop
+/// holds the pool.
 void parallel_for(std::int64_t n, std::int64_t grain, const ParallelBody& body);
 
 }  // namespace afp::num

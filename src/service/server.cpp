@@ -903,7 +903,7 @@ void Server::drain() {
   pump_stop_.store(true);
   pump_wake();
   if (pump_.joinable()) pump_.join();
-  service_.reset();  // joins the dispatcher after the queue drains
+  service_.reset();  // joins the workers after the queue drains
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

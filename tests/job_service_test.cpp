@@ -9,7 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -500,6 +502,96 @@ TEST(ReportJson, EscapesAndShapes) {
   const std::string batch = batch_report_json(reports, 3, 0.0, 1);
   EXPECT_NE(batch.find("\"batch\": {\"jobs\": 1"), std::string::npos);
   EXPECT_NE(batch.find("\"status\": \"done\""), std::string::npos);
+}
+
+TEST(RunBatch, ExplicitIdsPickReportIdsAndSeeds) {
+  // afp --batch passes manifest positions as ids: a batch over ids {1, 3}
+  // must run exactly what run_job runs as those jobs at their seeds.
+  auto jobs = three_jobs();
+  jobs.pop_back();
+  JobServiceOptions opts;
+  opts.base_seed = 77;
+  const std::vector<std::size_t> ids = {1, 3};
+  const auto reports = JobService::run_batch(jobs, opts, ids);
+  ASSERT_EQ(reports.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t seed = JobService::job_seed(77, ids[i]);
+    EXPECT_EQ(reports[i].id, ids[i]);
+    EXPECT_EQ(reports[i].seed, seed);
+    const auto direct = JobService::run_job(jobs[i], ids[i], seed, nullptr, {});
+    expect_identical(direct, reports[i], "id " + std::to_string(ids[i]));
+  }
+  EXPECT_THROW(JobService::run_batch(jobs, opts, {1}), std::invalid_argument);
+}
+
+TEST(JobService, ShortJobOvertakesARunningLongJob) {
+  // Head-of-line regression: with two workers, a job submitted while a
+  // long one runs starts on the free worker instead of queueing behind it.
+  num::set_num_threads(2);
+  std::atomic<bool> long_running{false};
+  JobServiceOptions opts;
+  opts.on_progress = [&](const JobProgress& p) {
+    if (p.id == 0 && p.status == JobStatus::kRunning) long_running.store(true);
+  };
+  {
+    JobService service(opts);
+    JobSpec long_job;
+    long_job.name = "long";
+    long_job.netlist = netlist::make_ota_small();
+    long_job.config = quick_config(1000000000);  // minutes if not cancelled
+    auto slow = service.submit(long_job);
+    while (!long_running.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    JobSpec short_job;
+    short_job.name = "short";
+    short_job.netlist = netlist::make_ota_small();
+    short_job.config = quick_config();
+    auto quick = service.submit(short_job);
+    const bool overtook = quick.report.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    const bool long_still_running =
+        slow.report.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready;
+    slow.cancel.cancel();
+    EXPECT_TRUE(overtook) << "the short job waited for the running long one";
+    EXPECT_TRUE(long_still_running);
+    EXPECT_EQ(quick.report.get().status, JobStatus::kDone);
+    slow.report.wait();
+  }
+  num::set_num_threads(0);
+}
+
+TEST(JobService, NestedParallelJobsSideBySideMatchRunJob) {
+  // PT replicas, a GA population and SA restarts fan out on the shared
+  // pool from three concurrently running jobs; each result must still
+  // equal the same job run alone.
+  num::set_num_threads(4);
+  std::vector<JobSpec> jobs(3);
+  jobs[0].netlist = netlist::make_ota_small();
+  jobs[0].config.optimizer = "pt";
+  jobs[0].config.options = {{"iterations", "200"}};
+  jobs[1].netlist = netlist::make_ota_small();
+  jobs[1].config.optimizer = "ga";
+  jobs[1].config.options = {{"population", "12"}, {"generations", "8"}};
+  jobs[2].netlist = netlist::make_ota_small();
+  jobs[2].config = quick_config();
+  jobs[2].config.search.restarts = 3;
+  JobServiceOptions opts;
+  opts.base_seed = 31;
+  std::vector<JobService::Handle> handles;
+  {
+    JobService service(opts);
+    for (const auto& job : jobs) handles.push_back(service.submit(job));
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobReport served = handles[i].report.get();
+    ASSERT_EQ(served.status, JobStatus::kDone) << served.error.message;
+    const auto direct = JobService::run_job(
+        jobs[i], i, JobService::job_seed(31, i), nullptr, {});
+    expect_identical(direct, served, jobs[i].config.optimizer);
+  }
+  num::set_num_threads(0);
 }
 
 }  // namespace

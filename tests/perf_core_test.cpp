@@ -4,7 +4,11 @@
 // identical for any thread-pool size.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -390,6 +394,34 @@ TEST(Storage, BufferPoolRecyclesFreedBuffers) {
   auto again = detail::acquire_buffer(kOdd);
   EXPECT_EQ(detail::buffer_pool_size(), parked);
   EXPECT_EQ(again->data(), raw);  // same storage came back
+}
+
+TEST(ThreadPool, BusyPoolRunsAConcurrentCallerInline) {
+  // While one caller's loop holds the pool, a second caller's parallel_for
+  // must complete on its own thread instead of waiting for the first.
+  set_num_threads(4);
+  std::promise<void> second_done;
+  std::future<void> done = second_done.get_future();
+  std::atomic<bool> first_inside{false};
+  bool overtook = false;
+  std::thread first([&] {
+    parallel_for(4, 1, [&](std::int64_t b, std::int64_t) {
+      if (b != 0) return;
+      first_inside.store(true);
+      overtook = done.wait_for(std::chrono::seconds(10)) ==
+                 std::future_status::ready;
+    });
+  });
+  while (!first_inside.load()) std::this_thread::yield();
+  std::vector<int> hits(8, 0);
+  parallel_for(8, 1, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
+  });
+  second_done.set_value();
+  first.join();
+  set_num_threads(0);
+  EXPECT_TRUE(overtook) << "the second caller waited for the busy pool";
+  EXPECT_EQ(hits, std::vector<int>(8, 1));
 }
 
 }  // namespace

@@ -472,7 +472,7 @@ int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
   // position (ids, per-job seeds and checkpoint paths are derived from it),
   // so adding or fixing a broken line never reshuffles sibling results.
   std::vector<core::JobSpec> jobs;
-  std::vector<std::size_t> job_pos;
+  std::vector<std::size_t> ids;
   std::vector<core::JobReport> reports(inputs.size());
   jobs.reserve(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -498,7 +498,7 @@ int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
                    e.what());
       continue;
     }
-    job_pos.push_back(i);
+    ids.push_back(i);
     jobs.push_back(std::move(spec));
   }
 
@@ -516,24 +516,8 @@ int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
                 core::to_string(p.status), p.runtime_s,
                 p.attempt > 0 ? " [retry]" : "");
   };
-  if (!jobs.empty()) {
-    // Seed per-job streams from the manifest position, not the compacted
-    // vector index, so results are invariant to skipped siblings.
-    std::vector<core::JobReport> ran(jobs.size());
-    num::parallel_for(
-        static_cast<std::int64_t>(jobs.size()), 1,
-        [&](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t b = b0; b < b1; ++b) {
-            const auto j = static_cast<std::size_t>(b);
-            ran[j] = core::JobService::run_job(
-                jobs[j], job_pos[j], core::JobService::job_seed(seed,
-                                                               job_pos[j]),
-                nullptr, sopts.on_progress);
-          }
-        });
-    for (std::size_t j = 0; j < ran.size(); ++j) {
-      reports[job_pos[j]] = std::move(ran[j]);
-    }
+  for (auto& r : core::JobService::run_batch(std::move(jobs), sopts, ids)) {
+    reports[r.id] = std::move(r);
   }
 
   std::printf("\n%-16s %-10s %12s %12s %10s %10s %8s\n", "job", "status",
@@ -773,7 +757,7 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
   core::JobServiceOptions batch;
   batch.base_seed = setup.seed;
   const std::vector<core::JobReport> reports =
-      core::JobService::run_batch(jobs, batch);
+      core::JobService::run_batch(std::move(jobs), batch);
 
   std::printf("\n%-24s %-10s %12s %12s %11s %8s\n", "instance", "status",
               "cost", "HPWL(um)", "constraints", "blocks");

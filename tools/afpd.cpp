@@ -21,7 +21,8 @@
 //   --journal PATH     crash-recovery journal          (env AFPD_JOURNAL)
 //   --base-seed N      seed base for seed-less submits (default 1)
 //   --drain-grace S    drain: finish window before cancelling (default 5)
-//   --threads N        numeric thread-pool size
+//   --threads N        numeric thread-pool size, and how many jobs run at
+//                      once (one per JobService worker)
 //   --quiet            suppress per-event stderr lines
 //
 // A malformed AFPD_* value (non-numeric, out of range) is a configuration
@@ -60,7 +61,9 @@ int usage(int rc) {
                "[--queue-frames N]\n"
                "            [--journal PATH] [--base-seed N] "
                "[--drain-grace S] [--threads N]\n"
-               "            [--quiet]\n");
+               "            [--quiet]\n"
+               "--threads N sizes the thread pool and runs up to N jobs at "
+               "once.\n");
   return rc;
 }
 
