@@ -85,10 +85,11 @@ void run_fig7() {
               res.drc.violations.size(),
               res.lvs.clean() ? "clean" : "needs refinement",
               res.lvs.open_nets.size(), res.lvs.shorted.size());
-  std::printf("  timings: SR %.3fs, floorplan %.3fs, route %.3fs, "
-              "layout %.3fs\n\n",
-              res.timings.recognition_s, res.timings.floorplan_s,
-              res.timings.route_s, res.timings.layout_s);
+  std::printf("  timings: SR %.3fs, HPWL ref %.3fs, floorplan %.3fs, "
+              "route %.3fs, layout %.3fs\n\n",
+              res.timings.recognition_s, res.timings.hpwl_ref_s,
+              res.timings.floorplan_s, res.timings.route_s,
+              res.timings.layout_s);
   std::printf("paper shape: the automated flow yields a routed, DRC/LVS-"
               "checkable Driver layout in seconds; complex layouts may "
               "still need manual channel refinement (Section V-C).\n\n");

@@ -165,12 +165,14 @@ FloorplanPipeline::Prepared FloorplanPipeline::prepare(
   if (cfg_.scenario_constraints.target_aspect) {
     prep.instance.target_aspect = cfg_.scenario_constraints.target_aspect;
   }
+  prep.recognition_s = since(t0);
+  const auto t1 = Clock::now();
   if (cfg_.hpwl_ref > 0.0) {
     prep.instance.hpwl_ref = cfg_.hpwl_ref;
   } else {
     prep.instance.hpwl_ref = metaheur::estimate_hpwl_min(prep.instance, rng);
   }
-  prep.recognition_s = since(t0);
+  prep.hpwl_ref_s = since(t1);
   return prep;
 }
 
@@ -185,6 +187,7 @@ PipelineResult FloorplanPipeline::back_half(Prepared prep,
                                            constraint_tol);
   res.rects = std::move(rects);
   res.timings.recognition_s = prep.recognition_s;
+  res.timings.hpwl_ref_s = prep.hpwl_ref_s;
   res.timings.floorplan_s = floorplan_s;
 
   std::vector<int> dirs;

@@ -50,12 +50,13 @@ struct OptimizerError : std::runtime_error {
 };
 
 struct StageTimings {
-  double recognition_s = 0.0;
+  double recognition_s = 0.0;  ///< recognition, graph, constraints, instance
+  double hpwl_ref_s = 0.0;     ///< estimate_hpwl_min (0 with a fixed hpwl_ref)
   double floorplan_s = 0.0;
   double route_s = 0.0;
   double layout_s = 0.0;
   double total() const {
-    return recognition_s + floorplan_s + route_s + layout_s;
+    return recognition_s + hpwl_ref_s + floorplan_s + route_s + layout_s;
   }
 };
 
@@ -157,13 +158,14 @@ class FloorplanPipeline {
  public:
   explicit FloorplanPipeline(PipelineConfig cfg = {}) : cfg_(std::move(cfg)) {}
 
-  /// Front half of the pipeline: recognition, graph, constraints, instance.
-  /// Shared by both floorplanning paths.
+  /// Front half of the pipeline: recognition, graph, constraints, instance
+  /// and its HPWL reference.  Shared by both floorplanning paths.
   struct Prepared {
     structrec::Recognition recognition;
     graphir::CircuitGraph graph;
     floorplan::Instance instance;
     double recognition_s = 0.0;
+    double hpwl_ref_s = 0.0;
   };
   Prepared prepare(const netlist::Netlist& nl, std::mt19937_64& rng) const;
 

@@ -106,6 +106,7 @@ std::string report_json(const PipelineResult& res, const std::string& circuit,
      << (res.drc.clean() ? "true" : "false") << ", \"lvs_clean\": "
      << (res.lvs.clean() ? "true" : "false") << "},\n";
   os << "  \"timings\": {\"recognition_s\": " << num(res.timings.recognition_s)
+     << ", \"hpwl_ref_s\": " << num(res.timings.hpwl_ref_s)
      << ", \"floorplan_s\": " << num(res.timings.floorplan_s)
      << ", \"route_s\": " << num(res.timings.route_s)
      << ", \"layout_s\": " << num(res.timings.layout_s) << "},\n";

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <functional>
+#include <limits>
 #include <map>
-#include <set>
+#include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 namespace afp::layoutgen {
 
@@ -111,23 +114,148 @@ Layout generate_layout(const floorplan::Instance& inst,
   return layout;
 }
 
+namespace {
+
+/// Interns net names to dense ids in first-seen order.  The views point
+/// into the layout being checked, which outlives the interner.
+class NetIds {
+ public:
+  std::uint32_t operator()(const std::string& net) {
+    const auto [it, fresh] =
+        ids_.try_emplace(net, static_cast<std::uint32_t>(names_.size()));
+    if (fresh) names_.push_back(net);
+    return it->second;
+  }
+  const std::vector<std::string_view>& names() const { return names_; }
+
+ private:
+  std::unordered_map<std::string_view, std::uint32_t> ids_;
+  std::vector<std::string_view> names_;
+};
+
+struct Shape {
+  geom::Rect rect;
+  std::uint32_t id = 0;
+};
+
+/// Sort-and-sweep contact index over a fixed set of shapes.  Shapes are
+/// sorted by their lower edge on the axis along which they are thinner
+/// relative to their spread (horizontal wires sweep in y, vertical ones in
+/// x).  The scan from a shape stops at the first later shape whose lower
+/// edge reaches its upper edge: Rect::overlaps is strict on both edges, so
+/// no overlapping partner lies past that point, and every pair is tested
+/// with the same doubles an all-pairs loop would use.
+class ContactIndex {
+ public:
+  explicit ContactIndex(std::vector<Shape> shapes)
+      : shapes_(std::move(shapes)) {
+    double sum_w = 0.0;
+    double sum_h = 0.0;
+    geom::Rect span{};
+    for (const Shape& s : shapes_) {
+      sum_w += s.rect.w;
+      sum_h += s.rect.h;
+      span = geom::bounding_union(span, s.rect);
+    }
+    by_y_ = sum_h * span.w < sum_w * span.h;
+    // A NaN edge overlaps nothing, and would break the sort's ordering.
+    std::erase_if(shapes_,
+                  [this](const Shape& s) { return std::isnan(lo(s)); });
+    std::sort(shapes_.begin(), shapes_.end(),
+              [this](const Shape& a, const Shape& b) { return lo(a) < lo(b); });
+  }
+
+  /// Calls visit(id_a, id_b) once for every unordered pair of shapes whose
+  /// rects overlap.
+  template <class Visit>
+  void for_each_overlap(Visit&& visit) const {
+    for (std::size_t s = 0; s < shapes_.size(); ++s) {
+      const geom::Rect& a = shapes_[s].rect;
+      const double hi = by_y_ ? a.top() : a.right();
+      for (std::size_t t = s + 1; t < shapes_.size() && lo(shapes_[t]) < hi;
+           ++t) {
+        if (a.overlaps(shapes_[t].rect)) visit(shapes_[s].id, shapes_[t].id);
+      }
+    }
+  }
+
+ private:
+  double lo(const Shape& s) const { return by_y_ ? s.rect.y : s.rect.x; }
+
+  std::vector<Shape> shapes_;
+  bool by_y_ = false;
+};
+
+/// Every pair i < j of same-layer, different-net wires whose rects, each
+/// inflated by `margin`, overlap.  Wire i's partners are
+/// partner[start[i] .. start[i + 1]), ascending.
+struct WireContacts {
+  std::vector<std::size_t> start;
+  std::vector<std::uint32_t> partner;
+};
+
+/// `net[i]` is wire i's interned net id.
+WireContacts wire_contacts(const std::vector<WireSegment>& wires,
+                           const std::vector<std::uint32_t>& net,
+                           double margin) {
+  if (wires.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("layoutgen: too many wires to index");
+  }
+  std::map<int, std::vector<Shape>> layers;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    layers[wires[i].layer].push_back(
+        {wires[i].rect.inflated(margin), static_cast<std::uint32_t>(i)});
+  }
+  std::vector<ContactIndex> index;
+  for (auto& [layer, shapes] : layers) index.emplace_back(std::move(shapes));
+
+  // Count, then fill, so the lists are allocated at their exact size.
+  const auto for_each_pair = [&](auto&& emit) {
+    for (const ContactIndex& idx : index) {
+      idx.for_each_overlap([&](std::uint32_t a, std::uint32_t b) {
+        if (net[a] != net[b]) emit(std::min(a, b), std::max(a, b));
+      });
+    }
+  };
+  WireContacts out;
+  out.start.assign(wires.size() + 1, 0);
+  for_each_pair([&](std::uint32_t i, std::uint32_t) { ++out.start[i + 1]; });
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    out.start[i + 1] += out.start[i];
+  }
+  out.partner.resize(out.start.back());
+  std::vector<std::size_t> fill(out.start.begin(), out.start.end() - 1);
+  for_each_pair(
+      [&](std::uint32_t i, std::uint32_t j) { out.partner[fill[i]++] = j; });
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    std::sort(out.partner.begin() + static_cast<std::ptrdiff_t>(out.start[i]),
+              out.partner.begin() +
+                  static_cast<std::ptrdiff_t>(out.start[i + 1]));
+  }
+  return out;
+}
+
+}  // namespace
+
 DrcReport run_drc(const Layout& layout, const LayoutConfig& cfg) {
   DrcReport report;
+  NetIds intern;
+  std::vector<std::uint32_t> net;
+  net.reserve(layout.wires.size());
+  for (const auto& w : layout.wires) net.push_back(intern(w.net));
+  const WireContacts spacing =
+      wire_contacts(layout.wires, net, cfg.wire_spacing / 2.0);
   for (std::size_t i = 0; i < layout.wires.size(); ++i) {
     const auto& a = layout.wires[i];
     if (!layout.outline.contains(a.rect)) {
       report.violations.push_back(
           {"outline", "wire of " + a.net + " escapes the outline"});
     }
-    for (std::size_t j = i + 1; j < layout.wires.size(); ++j) {
-      const auto& b = layout.wires[j];
-      if (a.layer != b.layer || a.net == b.net) continue;
-      if (a.rect.inflated(cfg.wire_spacing / 2.0)
-              .overlaps(b.rect.inflated(cfg.wire_spacing / 2.0))) {
-        report.violations.push_back(
-            {"spacing", "layer " + std::to_string(a.layer) + ": " + a.net +
-                            " vs " + b.net});
-      }
+    for (std::size_t k = spacing.start[i]; k < spacing.start[i + 1]; ++k) {
+      const auto& b = layout.wires[spacing.partner[k]];
+      report.violations.push_back(
+          {"spacing", "layer " + std::to_string(a.layer) + ": " + a.net +
+                          " vs " + b.net});
     }
   }
   for (std::size_t i = 0; i < layout.blocks.size(); ++i) {
@@ -144,44 +272,56 @@ DrcReport run_drc(const Layout& layout, const LayoutConfig& cfg) {
 
 LvsReport run_lvs(const Layout& layout) {
   LvsReport report;
-  // Gather geometry per net: wires, vias and pins.
-  std::map<std::string, std::vector<geom::Rect>> net_geom;
-  for (const auto& w : layout.wires) net_geom[w.net].push_back(w.rect);
-  for (const auto& v : layout.vias) net_geom[v.net].push_back(v.rect);
-  for (const auto& p : layout.pins) net_geom[p.net].push_back(p.rect);
+  // Gather geometry per net: wires, vias and pins, inflated slightly so
+  // abutting shapes connect.
+  NetIds intern;
+  std::vector<std::vector<Shape>> net_geom;
+  const auto add = [&](const std::string& net, const geom::Rect& r) {
+    const std::uint32_t id = intern(net);
+    if (id == net_geom.size()) net_geom.emplace_back();
+    auto& shapes = net_geom[id];
+    shapes.push_back(
+        {r.inflated(1e-6), static_cast<std::uint32_t>(shapes.size())});
+    return id;
+  };
+  std::vector<std::uint32_t> wire_net;
+  wire_net.reserve(layout.wires.size());
+  for (const auto& w : layout.wires) wire_net.push_back(add(w.net, w.rect));
+  for (const auto& v : layout.vias) add(v.net, v.rect);
+  for (const auto& p : layout.pins) add(p.net, p.rect);
 
-  // Connectivity: union-find over touching rectangles (inflated slightly
-  // so abutting shapes connect).
-  for (const auto& [net, shapes] : net_geom) {
-    const std::size_t n = shapes.size();
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-    std::function<std::size_t(std::size_t)> find =
-        [&](std::size_t x) -> std::size_t {
-      while (parent[x] != x) x = parent[x] = parent[parent[x]];
-      return x;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (shapes[i].inflated(1e-6).overlaps(shapes[j].inflated(1e-6))) {
-          parent[find(i)] = find(j);
-        }
-      }
-    }
-    std::set<std::size_t> roots;
-    for (std::size_t i = 0; i < n; ++i) roots.insert(find(i));
-    if (roots.size() > 1) report.open_nets.push_back(net);
+  // Connectivity: union-find over each net's touching shapes, nets in name
+  // order.  Components do not depend on the order pairs are merged in.
+  std::vector<std::uint32_t> by_name(net_geom.size());
+  for (std::uint32_t i = 0; i < by_name.size(); ++i) by_name[i] = i;
+  std::sort(by_name.begin(), by_name.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return intern.names()[a] < intern.names()[b];
+            });
+  std::vector<std::uint32_t> parent;
+  const auto find = [&parent](std::uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (std::uint32_t id : by_name) {
+    const std::size_t n = net_geom[id].size();
+    parent.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
+    ContactIndex(std::move(net_geom[id]))
+        .for_each_overlap([&](std::uint32_t a, std::uint32_t b) {
+          parent[find(a)] = find(b);
+        });
+    std::size_t roots = 0;
+    for (std::uint32_t i = 0; i < n; ++i) roots += find(i) == i ? 1 : 0;
+    if (roots > 1) report.open_nets.emplace_back(intern.names()[id]);
   }
 
   // Shorts: same-layer wire contact between different nets.
+  const WireContacts shorts = wire_contacts(layout.wires, wire_net, 0.0);
   for (std::size_t i = 0; i < layout.wires.size(); ++i) {
-    for (std::size_t j = i + 1; j < layout.wires.size(); ++j) {
-      const auto& a = layout.wires[i];
-      const auto& b = layout.wires[j];
-      if (a.net == b.net || a.layer != b.layer) continue;
-      if (a.rect.overlaps(b.rect)) {
-        report.shorted.push_back(a.net + "/" + b.net);
-      }
+    for (std::size_t k = shorts.start[i]; k < shorts.start[i + 1]; ++k) {
+      report.shorted.push_back(layout.wires[i].net + "/" +
+                               layout.wires[shorts.partner[k]].net);
     }
   }
   return report;

@@ -398,13 +398,13 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
   return finish("RL[13]", inst, pack(inst, best, spacing), t0, evals);
 }
 
-double estimate_hpwl_min(const floorplan::Instance& inst,
-                         std::mt19937_64& rng, int iterations) {
-  // Wirelength only, packed without spacing; the temperature scales with
-  // the best HPWL so far so the schedule is size-independent.
-  const auto hpwl = [&inst](const SequencePair& sp) {
-    return floorplan::hpwl_of(inst, pack(inst, sp, 0.0));
-  };
+namespace {
+
+template <class Hpwl>
+double anneal_hpwl(const floorplan::Instance& inst, std::mt19937_64& rng,
+                   int iterations, Hpwl&& hpwl) {
+  // The temperature scales with the best HPWL so far so the schedule is
+  // size-independent.
   Annealer<SpChain> chain;
   chain.start(inst, rng, hpwl);
   const double decay = std::pow(1e-3, 1.0 / std::max(1, iterations - 1));
@@ -413,6 +413,22 @@ double estimate_hpwl_min(const floorplan::Instance& inst,
     chain.step(temp * std::max(1.0, chain.best_cost), rng, hpwl);
   }
   return std::max(1.0, chain.best_cost);
+}
+
+}  // namespace
+
+double estimate_hpwl_min(const floorplan::Instance& inst,
+                         std::mt19937_64& rng, int iterations) {
+  // Wirelength only, packed without spacing.  Both scorers return the same
+  // bits; the crossover only picks the faster one for the instance size.
+  if (inst.num_blocks() < kHpwlDeltaMinBlocks) {
+    return anneal_hpwl(inst, rng, iterations, [&inst](const SequencePair& sp) {
+      return floorplan::hpwl_of(inst, pack(inst, sp, 0.0));
+    });
+  }
+  SpEvaluator ev(inst, 0.0);
+  return anneal_hpwl(inst, rng, iterations,
+                     [&ev](const SequencePair& sp) { return ev.hpwl(sp); });
 }
 
 }  // namespace afp::metaheur

@@ -94,7 +94,8 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
                         std::mt19937_64& rng);
 
 /// HPWLmin estimate (Section IV-D4): best HPWL found by a short SA that
-/// optimizes wirelength only.
+/// optimizes wirelength only.  From kHpwlDeltaMinBlocks blocks up it scores
+/// through SpEvaluator::hpwl(); the result bits are the same either way.
 double estimate_hpwl_min(const floorplan::Instance& inst,
                          std::mt19937_64& rng, int iterations = 2000);
 

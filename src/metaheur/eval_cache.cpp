@@ -229,12 +229,7 @@ double RectScorer::cost(const std::vector<geom::Rect>& rects,
   const floorplan::RewardWeights w;
   const geom::Rect bb = geom::bounding_box(rects);
   const double area = bb.area();
-  // When most blocks moved, nearly every net is dirty and the per-net flag
-  // bookkeeping of update() costs more than rescanning everything; both
-  // paths run the same per-net min/max chain, so the sum is bit-identical.
-  const bool rescan_all = full || 2 * moved.size() >= rects.size();
-  const double hpwl =
-      rescan_all ? hpwl_.recompute(rects) : hpwl_.update(rects, moved);
+  const double hpwl = this->hpwl(rects, moved, full);
   int total = 0;
   const int violated = floorplan::constraint_violations(*inst_, rects, 1e-6,
                                                         &total);
@@ -245,6 +240,15 @@ double RectScorer::cost(const std::vector<geom::Rect>& rects,
     r += w.gamma * d * d;
   }
   return r + floorplan::constraint_penalty(violated, total);
+}
+
+double RectScorer::hpwl(const std::vector<geom::Rect>& rects,
+                        const std::vector<int>& moved, bool full) {
+  // When most blocks moved, nearly every net is dirty and the per-net flag
+  // bookkeeping of update() costs more than rescanning everything; both
+  // paths run the same per-net min/max chain, so the sum is bit-identical.
+  const bool rescan_all = full || 2 * moved.size() >= rects.size();
+  return rescan_all ? hpwl_.recompute(rects) : hpwl_.update(rects, moved);
 }
 
 }  // namespace detail
@@ -296,6 +300,20 @@ double SpEvaluator::cost(const SequencePair& sp) {
     tt_->insert(key, full_cost);
   }
   return full_cost;
+}
+
+double SpEvaluator::hpwl(const SequencePair& sp) {
+  const EvalMode mode = eval_mode();
+  if (mode == EvalMode::kFull) {
+    return floorplan::hpwl_of(inst_, pack(inst_, sp, spacing_));
+  }
+  repack(sp);
+  const double delta = scorer_.hpwl(rects_, moved_, full_rescan_);
+  if (mode == EvalMode::kDelta) return delta;
+  const auto full_rects = pack(inst_, sp, spacing_);
+  const double full = floorplan::hpwl_of(inst_, full_rects);
+  check_parity("sequence-pair hpwl", full, delta, full_rects, rects_);
+  return full;
 }
 
 double SpEvaluator::eval_delta(const SequencePair& sp) {

@@ -10,7 +10,9 @@
 //    the blocks whose match positions or shape changed, and re-relaxes the
 //    longest paths only for blocks with a changed predecessor set or a
 //    dirty predecessor value — every recomputed coordinate runs the exact
-//    inner loop of pack(), so results are bitwise identical.
+//    inner loop of pack(), so results are bitwise identical.  Its hpwl()
+//    runs the same repack for the wirelength-only HPWL reference
+//    (estimate_hpwl_min) from kHpwlDeltaMinBlocks blocks up.
 //  * BStarEvaluator re-packs with the one B*-tree contour pass
 //    (BStarPacker, shared with pack_bstar) over reusable buffers and
 //    reports which blocks' rects moved.  A B* move disturbs the preorder
@@ -112,6 +114,10 @@ class RectScorer {
   /// full = true (first evaluation / fallback repack) to rescan all nets.
   double cost(const std::vector<geom::Rect>& rects,
               const std::vector<int>& moved, bool full);
+  /// The HPWL term of cost() alone, bitwise equal to hpwl_of(inst, rects);
+  /// same `moved` / `full` contract.
+  double hpwl(const std::vector<geom::Rect>& rects,
+              const std::vector<int>& moved, bool full);
 
  private:
   const floorplan::Instance* inst_ = nullptr;
@@ -134,6 +140,13 @@ class SpEvaluator {
   /// Cost of `sp`, bitwise equal to sp_cost(inst, pack(inst, sp, spacing))
   /// in every mode.  In check mode both paths run and must agree exactly.
   double cost(const SequencePair& sp);
+
+  /// Wirelength of `sp`, bitwise equal to
+  /// floorplan::hpwl_of(inst, pack(inst, sp, spacing)) in every mode: the
+  /// Fenwick repack below plus the per-net HPWL cache, so one move costs
+  /// O(n log n) instead of pack()'s O(n^2).  `full` runs pack() + hpwl_of;
+  /// `check` runs both paths and throws on any mismatch.
+  double hpwl(const SequencePair& sp);
 
  private:
   double eval_delta(const SequencePair& sp);
@@ -165,6 +178,16 @@ class SpEvaluator {
   /// regardless of association order.
   std::vector<double> fenx_, feny_;
 };
+
+/// Block count from which estimate_hpwl_min anneals through
+/// SpEvaluator::hpwl() rather than pack() + hpwl_of().  Below it the delta
+/// bookkeeping costs more than the O(n^2) pack it saves.  Measured as
+/// full time / delta time of the 2000-step annealing loop on the four
+/// scenario families, modes alternating in one process (Release, 4-vCPU
+/// Xeon VM): 0.75-0.81x at 5-9 blocks, 0.86-0.93x at 12-16, 0.97-1.01x at
+/// 18-19, 1.01-1.05x at 20, 1.17-1.22x at 24, 2.7-2.8x at 80, 7.5-8.0x at
+/// 200 and 25-29x at 500.
+inline constexpr int kHpwlDeltaMinBlocks = 20;
 
 /// Cost evaluator over B*-trees: one BStarPacker pass per evaluation into
 /// reusable member buffers, then HPWL is rescanned only for nets adjacent to

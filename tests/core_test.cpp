@@ -25,6 +25,20 @@ TEST(Pipeline, PrepareBuildsInstance) {
   EXPECT_TRUE(prep.instance.constraints.empty());
 }
 
+TEST(Pipeline, HpwlReferenceTimedAsItsOwnStage) {
+  // estimate_hpwl_min is timed apart from recognition, and the pipeline
+  // result carries that stage into its timings.
+  std::mt19937_64 rng(1);
+  FloorplanPipeline pipe(quick_config());
+  const auto prep = pipe.prepare(netlist::make_ota2(), rng);
+  EXPECT_GT(prep.hpwl_ref_s, 0.0);
+  std::mt19937_64 rng2(1);
+  const auto res = pipe.run(netlist::make_ota2(), rng2);
+  EXPECT_GT(res.timings.hpwl_ref_s, 0.0);
+  EXPECT_GE(res.timings.total(),
+            res.timings.recognition_s + res.timings.hpwl_ref_s);
+}
+
 TEST(Pipeline, PrepareWithConstraints) {
   std::mt19937_64 rng(2);
   PipelineConfig cfg = quick_config();

@@ -136,6 +136,13 @@ TEST(StageTimings, TotalSumsStages) {
   EXPECT_DOUBLE_EQ(t.total(), 3.0);
 }
 
+TEST(StageTimings, TotalIncludesHpwlReference) {
+  core::StageTimings t;
+  t.recognition_s = 0.5;
+  t.hpwl_ref_s = 2.0;
+  EXPECT_DOUBLE_EQ(t.total(), 2.5);
+}
+
 TEST(NewCircuits, FoldedCascodeGraphShape) {
   netlist::Netlist nl = netlist::make_folded_cascode();
   const auto rec = structrec::recognize(nl);

@@ -10,6 +10,8 @@
 
 #include <cstring>
 
+#include "ingest/scenario.hpp"
+#include "metaheur/baselines.hpp"
 #include "metaheur/eval_cache.hpp"
 #include "metaheur/tempering.hpp"
 #include "netlist/library.hpp"
@@ -168,6 +170,39 @@ INSTANTIATE_TEST_SUITE_P(
         RepCase{"bias2", metaheur::Representation::kSequencePair},
         RepCase{"bias2", metaheur::Representation::kBStarTree}),
     case_name);
+
+TEST(HpwlReferenceParity, SameBitsAndRngStateInEveryModeAcrossCrossover) {
+  // estimate_hpwl_min switches to SpEvaluator::hpwl() at
+  // kHpwlDeltaMinBlocks; on both sides of that switch the reference and
+  // the caller's rng state after it must not depend on the eval mode.
+  for (const int blocks : {8, 19, 20, 24, 64, 200}) {
+    ingest::ScenarioSpec spec;
+    spec.size = blocks;
+    const netlist::Netlist nl = ingest::make_scenario(spec).netlist;
+    const auto inst = floorplan::make_instance(
+        graphir::build_graph(nl, structrec::recognize(nl)));
+    ASSERT_EQ(inst.num_blocks(), blocks);
+    double want = 0.0;
+    std::mt19937_64 want_rng;
+    for (const auto mode :
+         {metaheur::EvalMode::kFull, metaheur::EvalMode::kDelta,
+          metaheur::EvalMode::kCheck}) {
+      ScopedEvalMode scoped(mode);
+      std::mt19937_64 rng(static_cast<std::uint64_t>(blocks));
+      const double got = metaheur::estimate_hpwl_min(inst, rng);
+      if (mode == metaheur::EvalMode::kFull) {
+        want = got;
+        want_rng = rng;
+        continue;
+      }
+      EXPECT_TRUE(same_bits(got, want))
+          << blocks << " blocks, mode " << to_string(mode) << ": " << got
+          << " vs full " << want;
+      EXPECT_TRUE(rng == want_rng)
+          << blocks << " blocks, mode " << to_string(mode);
+    }
+  }
+}
 
 void expect_same_result(const metaheur::BaselineResult& a,
                         const metaheur::BaselineResult& b,

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 
+#include "ingest/scenario.hpp"
 #include "metaheur/eval_cache.hpp"
 #include "metaheur/optimizer.hpp"
 #include "netlist/library.hpp"
@@ -89,6 +90,10 @@ struct Golden {
   std::uint64_t fingerprint;
 };
 
+/// The Table I circuits all have fewer than kHpwlDeltaMinBlocks blocks, so
+/// only this scenario drives estimate_hpwl_min through SpEvaluator::hpwl().
+constexpr const char* kDeltaHpwlScenario = "ota:40:1";
+
 // Recorded before the annealing-kernel refactor of src/metaheur.
 constexpr Golden kGolden[] = {
     {"ota1", "hpwl_min", 0x2a6e45b84eb1f3bbull},
@@ -145,6 +150,8 @@ constexpr Golden kGolden[] = {
     {"bias2", "rlsp", 0x94c3f510f2791c34ull},
     {"bias2", "sa", 0xdf7c2da4c256d439ull},
     {"bias2", "sab", 0x8d2a0798498a8479ull},
+    // Recorded before estimate_hpwl_min gained its delta path.
+    {kDeltaHpwlScenario, "hpwl_min", 0xe074620c691e4372ull},
 };
 
 TEST(SearchGolden, MatchesRecordedFingerprints) {
@@ -184,6 +191,18 @@ TEST(SearchGolden, MatchesRecordedFingerprints) {
       check(circuit, name, fingerprint(opt->run(inst, budget, rng)));
     }
     ++seed;
+  }
+  {
+    const netlist::Netlist nl =
+        ingest::make_scenario(ingest::ScenarioSpec::parse(kDeltaHpwlScenario))
+            .netlist;
+    const floorplan::Instance inst = floorplan::make_instance(
+        graphir::build_graph(nl, structrec::recognize(nl)));
+    ASSERT_GE(inst.num_blocks(), metaheur::kHpwlDeltaMinBlocks);
+    std::mt19937_64 hrng(seed);
+    Fnv h;
+    h.add(metaheur::estimate_hpwl_min(inst, hrng));
+    check(kDeltaHpwlScenario, "hpwl_min", h.value());
   }
   EXPECT_EQ(checked, static_cast<int>(std::size(kGolden)));
   EXPECT_TRUE(mismatches.empty()) << "search results drifted; rows now:\n"

@@ -313,10 +313,11 @@ void print_result(const core::PipelineResult& res) {
               res.drc.clean() ? "clean" : "dirty", res.drc.violations.size(),
               res.lvs.clean() ? "clean" : "dirty", res.lvs.open_nets.size(),
               res.lvs.shorted.size());
-  std::printf("timing: SR %.3fs | floorplan %.3fs | route %.3fs | "
-              "layout %.3fs\n",
-              res.timings.recognition_s, res.timings.floorplan_s,
-              res.timings.route_s, res.timings.layout_s);
+  std::printf("timing: SR %.3fs | HPWL ref %.3fs | floorplan %.3fs | "
+              "route %.3fs | layout %.3fs\n",
+              res.timings.recognition_s, res.timings.hpwl_ref_s,
+              res.timings.floorplan_s, res.timings.route_s,
+              res.timings.layout_s);
   if (res.quanta > 1) {
     std::printf("search: %ld evaluations over %ld wall-clock quanta\n",
                 res.evaluations, res.quanta);
