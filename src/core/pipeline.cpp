@@ -7,6 +7,7 @@
 #include "core/fault.hpp"
 #include "metaheur/eval_cache.hpp"
 #include "metaheur/parallel_search.hpp"
+#include "numeric/parallel.hpp"
 #include "numeric/serialize.hpp"
 
 namespace afp::core {
@@ -256,21 +257,27 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   // Job-scoped transposition cache: every quantum, restart and PT replica
   // of this job shares one memo (metaheur/eval_cache), so a state revisited
   // by any of them skips its repack + rescore.  Memoized costs are pure
-  // functions of the key, which keeps the quantum/multistart determinism
-  // contracts intact; thread safety comes from the cache's striped locks.
+  // functions of the key, which keeps the quantum determinism contract
+  // intact; thread safety comes from the cache's striped locks.
   metaheur::TranspositionCache tt;
+  // What one optimizer invocation sees: the configured iteration budget,
+  // the stop token and the job's cache.
+  metaheur::SearchBudget search;
+  search.iterations = budget.iterations;
+  search.stop = cancel;
+  search.tt = &tt;
 
-  // Exception firewall around one optimizer invocation: the stop-signal
-  // exceptions and bad_alloc keep their identity (they classify as
-  // cancelled / deadline_exceeded / resource_exhausted), everything else
-  // is wrapped so the failing quantum is attributed.  The fault injector
-  // fires at the same boundary, which makes an injected fault
-  // indistinguishable from a real optimizer bug downstream.
-  auto run_guarded = [&](const metaheur::SearchBudget& b, std::mt19937_64& r,
-                         long q) -> metaheur::BaselineResult {
+  // Exception firewall around one single run or one wave of quanta, the
+  // first of which is `q`: the stop-signal exceptions and bad_alloc keep
+  // their identity (they classify as cancelled / deadline_exceeded /
+  // resource_exhausted), everything else is wrapped so the failing quantum
+  // is attributed.  The fault injector fires at the same boundary, on this
+  // thread (pool threads do not see the ambient FaultScope), which makes an
+  // injected fault indistinguishable from a real optimizer bug downstream.
+  auto guarded = [&](long q, const auto& body) {
     try {
       FaultInjector::global().maybe_inject(q, cancel);
-      return opt.run(prep.instance, b, r);
+      return body();
     } catch (const CancelledError&) {
       throw;
     } catch (const DeadlineExceededError&) {
@@ -283,16 +290,24 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   };
 
   const bool quantum_mode = budget.wall_clock_s > 0.0 || budget.quanta > 0;
-  if (quantum_mode) {
-    // Quantum mode: fixed-size iteration quanta race the wall clock and/or
-    // count against budget.quanta.  Quantum q always draws from
-    // restart_rng(base, q), so the outcome is a pure function of
-    // (base_seed, #quanta completed) — reproducible for a fixed budget,
-    // thread-count invariant, and resumable from a checkpoint.  At least
-    // one quantum always completes (unless resumed past the cap).
+  if (!quantum_mode && cfg_.search.restarts <= 1) {
+    base = guarded(0, [&] { return opt.run(prep.instance, search, rng); });
+  } else {
+    // The quantum loop.  Quantum mode runs fixed-size iteration quanta one
+    // at a time, racing the wall clock and/or counting against
+    // budget.quanta; search.restarts = N runs quanta 0..N-1 as one wave on
+    // the pool.  Quantum q always draws from restart_rng(base, q) and the
+    // fold keeps the lowest sp_cost (ties to the lower q), so the outcome
+    // is a pure function of (base_seed, #quanta completed) — reproducible
+    // for a fixed budget, thread-count invariant, and resumable from a
+    // checkpoint.  At least one wave always completes (unless resumed past
+    // the cap).
+    const int wave = quantum_mode ? 1 : cfg_.search.restarts;
+    const long cap = quantum_mode ? budget.quanta : wave;
     QuantumState st;
     st.base_seed = cfg_.search.base_seed ? cfg_.search.base_seed : rng();
-    const std::string& ckpt = cfg_.search.checkpoint_path;
+    const std::string ckpt =
+        quantum_mode ? cfg_.search.checkpoint_path : std::string();
     std::uint64_t identity = 0;
     if (!ckpt.empty()) {
       identity = checkpoint_identity(opt.name(), cfg_.options,
@@ -303,69 +318,38 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
     const auto deadline =
         t0 + std::chrono::duration_cast<Clock::duration>(
                  std::chrono::duration<double>(budget.wall_clock_s));
-    metaheur::SearchBudget quantum;
-    quantum.iterations = budget.iterations;
-    quantum.stop = cancel;
-    quantum.tt = &tt;
-    while (budget.quanta <= 0 || st.quanta < budget.quanta) {
+    std::vector<metaheur::BaselineResult> results(
+        static_cast<std::size_t>(wave));
+    while (cap <= 0 || st.quanta < cap) {
       if (cancel && cancel->expired()) throw DeadlineExceededError(st.quanta);
-      std::mt19937_64 qrng =
-          metaheur::restart_rng(st.base_seed, static_cast<int>(st.quanta));
-      metaheur::BaselineResult r = run_guarded(quantum, qrng, st.quanta);
-      st.evaluations += r.evaluations;
-      const double cost = metaheur::sp_cost(prep.instance, r.rects);
-      if (!st.has_best || cost < st.best_cost) {
-        st.has_best = true;
-        st.best_cost = cost;
-        st.best = std::move(r);
+      const long q0 = st.quanta;
+      guarded(q0, [&] {
+        num::parallel_for(wave, 1, [&](std::int64_t i0, std::int64_t i1) {
+          for (std::int64_t i = i0; i < i1; ++i) {
+            std::mt19937_64 qrng = metaheur::restart_rng(
+                st.base_seed, static_cast<int>(q0 + i));
+            results[static_cast<std::size_t>(i)] =
+                opt.run(prep.instance, search, qrng);
+          }
+        });
+      });
+      for (auto& r : results) {
+        st.evaluations += r.evaluations;
+        const double cost = metaheur::sp_cost(prep.instance, r.rects);
+        if (!st.has_best || cost < st.best_cost) {
+          st.has_best = true;
+          st.best_cost = cost;
+          st.best = std::move(r);
+        }
+        ++st.quanta;
       }
-      ++st.quanta;
       if (!ckpt.empty()) write_quantum_checkpoint(ckpt, identity, st);
       if (budget.wall_clock_s > 0.0 && Clock::now() >= deadline) break;
       if (cancel && cancel->cancelled()) break;
     }
     base = std::move(st.best);
     base.evaluations = st.evaluations;
-    quanta = st.quanta;
-  } else if (cfg_.search.restarts > 1) {
-    // Fan the whole search out on the pool; each restart gets its own
-    // SplitMix64 stream, so the result is thread-count invariant and a pure
-    // function of (base_seed, restarts).  The stop token rides inside the
-    // budget: a cancelled/expired restart truncates after its next
-    // iteration and returns its best-so-far, so the fan-out drains at
-    // iteration latency while every slot still holds a valid result for
-    // the deterministic selection.
-    metaheur::MultiStartOptions mopt;
-    mopt.restarts = cfg_.search.restarts;
-    mopt.base_seed = cfg_.search.base_seed ? cfg_.search.base_seed : rng();
-    metaheur::SearchBudget eff = budget;
-    eff.stop = cancel;
-    eff.tt = &tt;
-    // The injection point and the firewall sit around the whole fan-out:
-    // restarts run on pool threads where the ambient FaultScope is not
-    // visible, and an exception escaping any restart aborts the fan-out.
-    try {
-      FaultInjector::global().maybe_inject(0, cancel);
-      base = metaheur::run_multistart(
-          prep.instance,
-          [&](int, std::mt19937_64& r) {
-            return opt.run(prep.instance, eff, r);
-          },
-          mopt);
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const DeadlineExceededError&) {
-      throw;
-    } catch (const std::bad_alloc&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw OptimizerError(0, std::string(opt.name()) + ": " + e.what());
-    }
-  } else {
-    metaheur::SearchBudget eff = budget;
-    eff.stop = cancel;
-    eff.tt = &tt;
-    base = run_guarded(eff, rng, 0);
+    if (quantum_mode) quanta = st.quanta;
   }
   // An expired watchdog is a hard failure in every mode: the truncated
   // search result is not the deterministic function of the seed the report

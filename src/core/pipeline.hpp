@@ -103,7 +103,11 @@ struct RetryPolicy {
 
 /// Multi-start / budget configuration shared by every registry optimizer.
 struct SearchConfig {
-  int restarts = 1;             ///< > 1: best-of-restarts on the pool
+  /// > 1: best of N restarts, run as quanta 0..N-1 of the quantum loop in
+  /// one parallel wave (quantum q seeded restart_rng(base_seed, q); lowest
+  /// sp_cost wins, ties to the lower q).  Same bits as budget.quanta = N,
+  /// but the result reports quanta = 1 and writes no checkpoint.
+  int restarts = 1;
   std::uint64_t base_seed = 0;  ///< 0: drawn from the pipeline rng
   /// Budget overrides.  budget.iterations > 0 overrides the optimizer's
   /// primary knob; budget.wall_clock_s > 0 or budget.quanta > 0 switches to

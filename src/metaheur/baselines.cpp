@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "metaheur/anneal.hpp"
 #include "numeric/parallel.hpp"
@@ -56,6 +57,7 @@ int sample_move(const MovePrefs& pi, std::mt19937_64& rng) {
 template <class Chain>
 BaselineResult run_anneal(const floorplan::Instance& inst, const SAParams& p,
                           std::mt19937_64& rng, const char* method) {
+  p.check();
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   typename Chain::Evaluator ev(inst, spacing, p.tt);
@@ -98,7 +100,21 @@ std::vector<double> eval_population(const floorplan::Instance& inst,
   return cost;
 }
 
+/// The schedule decays geometrically from t_start to t_end, so both must
+/// be finite and positive or every temperature is NaN, 0 or inf.
+void check_schedule(double t_start, double t_end, const char* who) {
+  if (!(std::isfinite(t_start) && t_start > 0.0 && std::isfinite(t_end) &&
+        t_end > 0.0)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": need finite t_start > 0 and t_end > 0");
+  }
+}
+
 }  // namespace
+
+void SAParams::check() const { check_schedule(t_start, t_end, "run_sa"); }
+
+void RLSAParams::check() const { check_schedule(t_start, t_end, "run_rlsa"); }
 
 double resolve_spacing(const floorplan::Instance& inst, double spacing_um) {
   return spacing_um >= 0.0 ? spacing_um : inst.canvas_w / 32.0;
@@ -309,6 +325,7 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
                         std::mt19937_64& rng) {
   // Move-type preferences theta, softmax policy pi(m); REINFORCE update
   // theta[m] += lr * improvement * (1 - pi(m)) after each proposal.
+  p.check();
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   SpEvaluator ev(inst, spacing, p.tt);

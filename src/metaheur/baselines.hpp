@@ -25,52 +25,60 @@ struct BaselineResult {
   long evaluations = 0;  ///< packed-and-scored candidate count
 };
 
-struct SAParams {
+/// The knobs every search shares: the base of each run_* entry point's
+/// parameter struct (and of PTParams).
+struct SearchParams {
+  double spacing_um = -1.0;  ///< congestion margin; < 0 = auto (one grid cell)
+  /// Polled by the inner loop (per move, generation, sweep or episode); a
+  /// stopped run returns its best-so-far.  Null = never stops.
+  const CancelToken* stop = nullptr;
+  /// Optional job-scoped memo shared by the restarts, quanta and PT
+  /// replicas of one job.  GA and PSO never read it: their population
+  /// members are unrelated states scored on the full path.
+  TranspositionCache* tt = nullptr;
+  /// Range check of the struct's own knobs; throws std::invalid_argument.
+  /// Each run_* entry point calls its struct's check, and so does the
+  /// registry once configure() has applied the options.
+  void check() const {}
+};
+
+struct SAParams : SearchParams {
   int iterations = 4000;
   double t_start = 2.0;
   double t_end = 1e-3;
-  double spacing_um = -1.0;  ///< congestion margin; < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per move; null = never
-  TranspositionCache* tt = nullptr;  ///< optional shared memo (job-scoped)
+  /// Finite t_start > 0 and t_end > 0.
+  void check() const;
 };
 
-struct GAParams {
+struct GAParams : SearchParams {
   int population = 24;
   int generations = 60;
   double crossover_rate = 0.9;
   double mutation_rate = 0.3;
   int tournament = 3;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per generation
 };
 
-struct PSOParams {
+struct PSOParams : SearchParams {
   int particles = 20;
   int iterations = 80;
   double inertia = 0.72;
   double c1 = 1.5;  ///< cognitive coefficient
   double c2 = 1.5;  ///< social coefficient
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per sweep
 };
 
-struct RLSAParams {
+struct RLSAParams : SearchParams {
   int iterations = 4000;
   double t_start = 2.0;
   double t_end = 1e-3;
   double learning_rate = 0.1;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per move
-  TranspositionCache* tt = nullptr;  ///< optional shared memo (job-scoped)
+  /// Finite t_start > 0 and t_end > 0.
+  void check() const;
 };
 
-struct RLSPParams {
+struct RLSPParams : SearchParams {
   int episodes = 160;
   int steps_per_episode = 60;
   double learning_rate = 0.05;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell)
-  const CancelToken* stop = nullptr;  ///< polled per episode
-  TranspositionCache* tt = nullptr;  ///< optional shared memo (job-scoped)
 };
 
 /// Resolves a congestion-aware spacing parameter: negative means "auto",

@@ -41,8 +41,9 @@ bool same_rect(const geom::Rect& a, const geom::Rect& b) {
          same_bits(a.h, b.h);
 }
 
-[[noreturn]] void parity_failure(const char* what, double full, double delta) {
-  throw std::logic_error(std::string("eval_cache parity violation (") + what +
+[[noreturn]] void parity_failure(const std::string& what, double full,
+                                 double delta) {
+  throw std::logic_error("eval_cache parity violation (" + what +
                          "): full=" + std::to_string(full) +
                          " delta=" + std::to_string(delta));
 }
@@ -64,6 +65,51 @@ void check_parity(const char* tag, double full_cost, double delta_cost,
                              std::to_string(b));
     }
   }
+}
+
+/// The one mode dispatch behind SpEvaluator::cost and BStarEvaluator::cost.
+/// `full_pack()` runs the legacy packer; `delta()` runs the incremental
+/// path and leaves its rects in `delta_rects`.
+template <typename Encoding, typename FullPack, typename Delta>
+double dispatch_cost(const floorplan::Instance& inst, const Encoding& enc,
+                     TranspositionCache* tt, const char* tag,
+                     const FullPack& full_pack, const Delta& delta,
+                     const std::vector<geom::Rect>& delta_rects) {
+  const EvalMode mode = eval_mode();
+  if (mode == EvalMode::kFull) {
+    // Pure legacy path: no memoization, no incremental state — the honest
+    // baseline the bench compares against.
+    return sp_cost(inst, full_pack());
+  }
+  if (mode == EvalMode::kDelta) {
+    if (tt == nullptr) return delta();
+    const TranspositionCache::Key key = TranspositionCache::hash(enc);
+    double c = 0.0;
+    if (tt->lookup(key, &c)) return c;
+    c = delta();
+    tt->insert(key, c);
+    return c;
+  }
+  // Check mode: run the oracle and the delta path on every evaluation.
+  const auto full_rects = full_pack();
+  const double full_cost = sp_cost(inst, full_rects);
+  double tt_cost = 0.0;
+  bool tt_hit = false;
+  TranspositionCache::Key key{};
+  if (tt != nullptr) {
+    key = TranspositionCache::hash(enc);
+    tt_hit = tt->lookup(key, &tt_cost);
+  }
+  const double delta_cost = delta();
+  check_parity(tag, full_cost, delta_cost, full_rects, delta_rects);
+  if (tt_hit) {
+    if (!same_bits(tt_cost, full_cost)) {
+      parity_failure(std::string(tag) + " tt", full_cost, tt_cost);
+    }
+  } else if (tt != nullptr) {
+    tt->insert(key, full_cost);
+  }
+  return full_cost;
 }
 
 }  // namespace
@@ -100,30 +146,7 @@ const char* to_string(EvalMode mode) {
 // ---------------------------------------------------------------------------
 // TranspositionCache
 
-TranspositionCache::TranspositionCache(long capacity) {
-  if (capacity < 0) capacity = default_capacity();
-  per_stripe_cap_ =
-      capacity == 0
-          ? 0
-          : std::max<std::size_t>(1, static_cast<std::size_t>(capacity) /
-                                         static_cast<std::size_t>(kStripes));
-}
-
-long TranspositionCache::default_capacity() {
-  if (const char* s = std::getenv("AFP_TT_CAP")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && v >= 0) return v;
-    std::fprintf(stderr, "afp: ignoring malformed AFP_TT_CAP=%s\n", s);
-  }
-  return 1L << 18;
-}
-
 bool TranspositionCache::lookup(const Key& k, double* cost) const {
-  if (per_stripe_cap_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   const Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.map.find(k.h1);
@@ -137,10 +160,6 @@ bool TranspositionCache::lookup(const Key& k, double* cost) const {
 }
 
 void TranspositionCache::insert(const Key& k, double cost) {
-  if (per_stripe_cap_ == 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.map.find(k.h1);
@@ -148,7 +167,7 @@ void TranspositionCache::insert(const Key& k, double cost) {
     it->second = {k.h2, cost};  // refresh (h1 collision overwrite is a wash)
     return;
   }
-  if (s.map.size() >= per_stripe_cap_) {  // full stripe: drop, no evict
+  if (s.map.size() >= kPerStripeCap) {  // full stripe: drop, no evict
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -263,43 +282,10 @@ SpEvaluator::SpEvaluator(const floorplan::Instance& inst, double spacing,
 }
 
 double SpEvaluator::cost(const SequencePair& sp) {
-  const EvalMode mode = eval_mode();
-  if (mode == EvalMode::kFull) {
-    // Pure legacy path: no memoization, no incremental state — the honest
-    // baseline the bench compares against.
-    return sp_cost(inst_, pack(inst_, sp, spacing_));
-  }
-  if (mode == EvalMode::kDelta) {
-    if (tt_ != nullptr) {
-      const TranspositionCache::Key key = TranspositionCache::hash(sp);
-      double c = 0.0;
-      if (tt_->lookup(key, &c)) return c;
-      c = eval_delta(sp);
-      tt_->insert(key, c);
-      return c;
-    }
-    return eval_delta(sp);
-  }
-  // Check mode: run the oracle and the delta path on every evaluation.
-  const auto full_rects = pack(inst_, sp, spacing_);
-  const double full_cost = sp_cost(inst_, full_rects);
-  double tt_cost = 0.0;
-  bool tt_hit = false;
-  TranspositionCache::Key key{};
-  if (tt_ != nullptr) {
-    key = TranspositionCache::hash(sp);
-    tt_hit = tt_->lookup(key, &tt_cost);
-  }
-  const double delta_cost = eval_delta(sp);
-  check_parity("sequence-pair", full_cost, delta_cost, full_rects, rects_);
-  if (tt_hit) {
-    if (!same_bits(tt_cost, full_cost)) {
-      parity_failure("sequence-pair tt", full_cost, tt_cost);
-    }
-  } else if (tt_ != nullptr) {
-    tt_->insert(key, full_cost);
-  }
-  return full_cost;
+  return dispatch_cost(
+      inst_, sp, tt_, "sequence-pair",
+      [&] { return pack(inst_, sp, spacing_); },
+      [&] { return eval_delta(sp); }, rects_);
 }
 
 double SpEvaluator::hpwl(const SequencePair& sp) {
@@ -321,66 +307,32 @@ double SpEvaluator::eval_delta(const SequencePair& sp) {
   return scorer_.cost(rects_, moved_, full_rescan_);
 }
 
-void SpEvaluator::pack_full(const SequencePair& sp) {
-  const int n = sp.size();
-  const bool first = !has_state_ || static_cast<int>(rects_.size()) != n;
-  pos1_.resize(z(n));
-  pos2_.resize(z(n));
-  npos1_.resize(z(n));
-  npos2_.resize(z(n));
-  changed_.assign(z(n), 0);
-  w_.resize(z(n));
-  h_.resize(z(n));
-  x_.assign(z(n), 0.0);
-  y_.assign(z(n), 0.0);
-  if (first) rects_.assign(z(n), {});
-  for (int i = 0; i < n; ++i) {
-    pos1_[z(sp.s1[z(i)])] = i;
-    pos2_[z(sp.s2[z(i)])] = i;
-  }
-  for (int b = 0; b < n; ++b) {
-    const auto& sh = inst_.blocks[z(b)].shapes[z(sp.shapes[z(b)])];
-    w_[z(b)] = sh.w + 2.0 * spacing_;
-    h_[z(b)] = sh.h + 2.0 * spacing_;
-  }
-  // Exact loops of pack(): x in s1 order, y in s2 order.
-  for (int i = 0; i < n; ++i) {
-    const int b = sp.s1[z(i)];
-    double xb = 0.0;
-    for (int j = 0; j < i; ++j) {
-      const int a = sp.s1[z(j)];
-      if (pos2_[z(a)] < pos2_[z(b)]) xb = std::max(xb, x_[z(a)] + w_[z(a)]);
-    }
-    x_[z(b)] = xb;
-  }
-  for (int i = 0; i < n; ++i) {
-    const int a = sp.s2[z(i)];
-    double ya = 0.0;
-    for (int j = 0; j < i; ++j) {
-      const int b = sp.s2[z(j)];
-      if (pos1_[z(a)] < pos1_[z(b)]) ya = std::max(ya, y_[z(b)] + h_[z(b)]);
-    }
-    y_[z(a)] = ya;
-  }
-  moved_.clear();
-  for (int b = 0; b < n; ++b) {
-    const auto& sh = inst_.blocks[z(b)].shapes[z(sp.shapes[z(b)])];
-    const geom::Rect r{x_[z(b)] + spacing_, y_[z(b)] + spacing_, sh.w, sh.h};
-    if (first || !same_rect(r, rects_[z(b)])) {
-      rects_[z(b)] = r;
-      moved_.push_back(b);
-    }
-  }
-  full_rescan_ = first;  // with prior state, moved_ is a valid HPWL delta
-  cached_ = sp;
-  has_state_ = true;
-}
-
 void SpEvaluator::repack(const SequencePair& sp) {
   const int n = sp.size();
-  if (!has_state_ || cached_.size() != n) {
-    pack_full(sp);
-    return;
+  const bool first = !has_state_ || cached_.size() != n;
+  touched_.clear();
+  int startx = n;
+  int starty = n;
+  if (first) {
+    // Nothing to diff against: every block is changed and both passes
+    // below run from position 0, i.e. a full pack in O(n log n).
+    pos1_.resize(z(n));
+    pos2_.resize(z(n));
+    npos1_.resize(z(n));
+    npos2_.resize(z(n));
+    w_.resize(z(n));
+    h_.resize(z(n));
+    x_.assign(z(n), 0.0);
+    y_.assign(z(n), 0.0);
+    changed_.assign(z(n), 1);
+    rects_.assign(z(n), {});
+    for (int b = 0; b < n; ++b) {
+      const auto& sh = inst_.blocks[z(b)].shapes[z(sp.shapes[z(b)])];
+      w_[z(b)] = sh.w + 2.0 * spacing_;
+      h_[z(b)] = sh.h + 2.0 * spacing_;
+      touched_.push_back(b);
+    }
+    startx = starty = 0;
   }
   for (int i = 0; i < n; ++i) {
     npos1_[z(sp.s1[z(i)])] = i;
@@ -393,10 +345,7 @@ void SpEvaluator::repack(const SequencePair& sp) {
   // change, only its successors').  Everything left of the first
   // disturbance is frozen: no predecessor set or contribution there can
   // have changed, so those coordinates are provably identical.
-  touched_.clear();
-  int startx = n;
-  int starty = n;
-  for (int b = 0; b < n; ++b) {
+  for (int b = 0; b < n && !first; ++b) {
     if (npos1_[z(b)] != pos1_[z(b)] || npos2_[z(b)] != pos2_[z(b)]) {
       startx = std::min(startx, std::min(pos1_[z(b)], npos1_[z(b)]));
       starty = std::min(starty, std::min(pos2_[z(b)], npos2_[z(b)]));
@@ -484,7 +433,7 @@ void SpEvaluator::repack(const SequencePair& sp) {
     changed_[z(b)] = 0;
     const auto& sh = inst_.blocks[z(b)].shapes[z(sp.shapes[z(b)])];
     const geom::Rect r{x_[z(b)] + spacing_, y_[z(b)] + spacing_, sh.w, sh.h};
-    if (!same_rect(r, rects_[z(b)])) {
+    if (first || !same_rect(r, rects_[z(b)])) {
       rects_[z(b)] = r;
       moved_.push_back(b);
     }
@@ -492,7 +441,8 @@ void SpEvaluator::repack(const SequencePair& sp) {
   std::swap(pos1_, npos1_);
   std::swap(pos2_, npos2_);
   cached_ = sp;
-  full_rescan_ = false;
+  has_state_ = true;
+  full_rescan_ = first;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,40 +455,10 @@ BStarEvaluator::BStarEvaluator(const floorplan::Instance& inst, double spacing,
 }
 
 double BStarEvaluator::cost(const BStarTree& tree) {
-  const EvalMode mode = eval_mode();
-  if (mode == EvalMode::kFull) {
-    return sp_cost(inst_, pack_bstar(inst_, tree, spacing_));
-  }
-  if (mode == EvalMode::kDelta) {
-    if (tt_ != nullptr) {
-      const TranspositionCache::Key key = TranspositionCache::hash(tree);
-      double c = 0.0;
-      if (tt_->lookup(key, &c)) return c;
-      c = eval_delta(tree);
-      tt_->insert(key, c);
-      return c;
-    }
-    return eval_delta(tree);
-  }
-  const auto full_rects = pack_bstar(inst_, tree, spacing_);
-  const double full_cost = sp_cost(inst_, full_rects);
-  double tt_cost = 0.0;
-  bool tt_hit = false;
-  TranspositionCache::Key key{};
-  if (tt_ != nullptr) {
-    key = TranspositionCache::hash(tree);
-    tt_hit = tt_->lookup(key, &tt_cost);
-  }
-  const double delta_cost = eval_delta(tree);
-  check_parity("b*-tree", full_cost, delta_cost, full_rects, rects_);
-  if (tt_hit) {
-    if (!same_bits(tt_cost, full_cost)) {
-      parity_failure("b*-tree tt", full_cost, tt_cost);
-    }
-  } else if (tt_ != nullptr) {
-    tt_->insert(key, full_cost);
-  }
-  return full_cost;
+  return dispatch_cost(
+      inst_, tree, tt_, "b*-tree",
+      [&] { return pack_bstar(inst_, tree, spacing_); },
+      [&] { return eval_delta(tree); }, rects_);
 }
 
 double BStarEvaluator::eval_delta(const BStarTree& tree) {

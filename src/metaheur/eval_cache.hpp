@@ -7,12 +7,14 @@
 // only what a move invalidated:
 //
 //  * SpEvaluator diffs the new sequence pair against the cached one, finds
-//    the blocks whose match positions or shape changed, and re-relaxes the
-//    longest paths only for blocks with a changed predecessor set or a
-//    dirty predecessor value — every recomputed coordinate runs the exact
-//    inner loop of pack(), so results are bitwise identical.  Its hpwl()
-//    runs the same repack for the wirelength-only HPWL reference
-//    (estimate_hpwl_min) from kHpwlDeltaMinBlocks blocks up.
+//    the first position whose match positions or shape changed, and
+//    re-relaxes the longest paths from there with two Fenwick prefix-max
+//    passes.  The first evaluation runs the same two passes from position
+//    0 with every block marked changed; there is no private copy of
+//    pack()'s O(n^2) loops.  max over the same contributions is bit-exact,
+//    so results are bitwise identical to pack().  Its hpwl() runs the same
+//    repack for the wirelength-only HPWL reference (estimate_hpwl_min)
+//    from kHpwlDeltaMinBlocks blocks up.
 //  * BStarEvaluator re-packs with the one B*-tree contour pass
 //    (BStarPacker, shared with pack_bstar) over reusable buffers and
 //    reports which blocks' rects moved.  A B* move disturbs the preorder
@@ -29,6 +31,7 @@
 // `delta` the incremental path, and `check` runs both on every evaluation
 // and throws std::logic_error on any cost or rectangle mismatch — the
 // parity oracle the property suite and the sanitizer CI leg run under.
+// Both evaluators' cost() run one shared dispatch over these three modes.
 #pragma once
 
 #include <atomic>
@@ -67,13 +70,6 @@ class TranspositionCache {
     std::uint64_t h2 = 0;
   };
 
-  /// capacity <= 0 uses default_capacity().
-  explicit TranspositionCache(long capacity = -1);
-
-  /// AFP_TT_CAP environment override; default 1 << 18 entries, 0 disables
-  /// (every lookup misses, every insert drops).
-  static long default_capacity();
-
   bool lookup(const Key& k, double* cost) const;
   void insert(const Key& k, double cost);
 
@@ -89,13 +85,15 @@ class TranspositionCache {
 
  private:
   static constexpr int kStripes = 64;
+  /// 2^18 entries in all, split evenly over the stripes.
+  static constexpr std::size_t kPerStripeCap =
+      (std::size_t{1} << 18) / kStripes;
   struct Stripe {
     mutable std::mutex mu;
     /// h1 -> (h2, cost); an h1 collision with a different h2 is a miss.
     std::unordered_map<std::uint64_t, std::pair<std::uint64_t, double>> map;
   };
   Stripe stripes_[kStripes];
-  std::size_t per_stripe_cap_ = 0;
   mutable std::atomic<long> hits_{0};
   mutable std::atomic<long> misses_{0};
   mutable std::atomic<long> dropped_{0};
@@ -150,8 +148,8 @@ class SpEvaluator {
 
  private:
   double eval_delta(const SequencePair& sp);
-  void pack_full(const SequencePair& sp);
-  /// Delta repack; falls back to pack_full when the diff is too large.
+  /// Fenwick repack of the suffix a move disturbed; the first evaluation
+  /// runs both passes from position 0 with every block changed.
   void repack(const SequencePair& sp);
 
   const floorplan::Instance& inst_;

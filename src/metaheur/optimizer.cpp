@@ -158,6 +158,7 @@ void Optimizer::configure(const Options& opts) {
   OptionBinder b;
   bind(b);
   b.apply(opts, name());
+  check();
 }
 
 Options Optimizer::options() {
@@ -174,223 +175,154 @@ std::vector<OptionSpec> Optimizer::describe() {
 
 // ------------------------------------------------------ built-in optimizers
 //
-// Each wrapper owns its run_* entry point's parameter struct and forwards
-// run() to it, so a registry run is bitwise identical to calling run_*
-// directly.  budget.iterations overrides the primary budget knob only.
+// One option list per parameter struct; the adapter binds spacing_um (from
+// SearchParams) after it, last.
 
 namespace {
 
+void bind_options(OptionBinder& b, SAParams& p) {
+  b.bind("iterations", &p.iterations, "annealing move budget", 0);
+  b.bind("t_start", &p.t_start, "initial temperature");
+  b.bind("t_end", &p.t_end, "final temperature");
+}
+
+void bind_options(OptionBinder& b, GAParams& p) {
+  b.bind("population", &p.population, "individuals per generation", 1);
+  b.bind("generations", &p.generations, "generation budget", 0);
+  b.bind("crossover_rate", &p.crossover_rate, "crossover probability");
+  b.bind("mutation_rate", &p.mutation_rate, "mutation probability");
+  b.bind("tournament", &p.tournament, "tournament selection size", 1);
+}
+
+void bind_options(OptionBinder& b, PSOParams& p) {
+  b.bind("particles", &p.particles, "swarm size", 1);
+  b.bind("iterations", &p.iterations, "synchronous sweep budget", 0);
+  b.bind("inertia", &p.inertia, "velocity inertia weight");
+  b.bind("c1", &p.c1, "cognitive coefficient");
+  b.bind("c2", &p.c2, "social coefficient");
+}
+
+void bind_options(OptionBinder& b, RLSAParams& p) {
+  b.bind("iterations", &p.iterations, "annealing move budget", 0);
+  b.bind("t_start", &p.t_start, "initial temperature");
+  b.bind("t_end", &p.t_end, "final temperature");
+  b.bind("learning_rate", &p.learning_rate,
+         "REINFORCE step for the move-type policy");
+}
+
+void bind_options(OptionBinder& b, RLSPParams& p) {
+  b.bind("episodes", &p.episodes, "policy-gradient episode budget", 0);
+  b.bind("steps_per_episode", &p.steps_per_episode, "moves per episode", 0);
+  b.bind("learning_rate", &p.learning_rate, "policy-gradient step size");
+}
+
+void bind_options(OptionBinder& b, PTParams& p) {
+  b.bind("replicas", &p.replicas, "temperature-ladder size K (>= 2)", 2);
+  b.bind("iterations", &p.iterations,
+         "mean moves per replica (total = K * this)", 0);
+  b.bind("anneal", &p.anneal, "annealed ladder (true) vs fixed rungs (false)");
+  b.bind("t_start", &p.t_start, "annealed mode: coldest start temp");
+  b.bind("t_end", &p.t_end, "annealed mode: coldest final temp");
+  b.bind("hot_factor", &p.hot_factor,
+         "annealed mode: hottest/coldest multiplier");
+  b.bind("t_cold", &p.t_cold, "fixed mode: coldest rung");
+  b.bind("t_hot", &p.t_hot, "fixed mode: hottest rung; < 0 = auto");
+  b.bind("budget_skew", &p.budget_skew,
+         "cold-chain move-budget skew (1 = equal chains)");
+  b.bind("swap_interval", &p.swap_interval,
+         "cold-chain moves between exchange rounds", 1);
+  b.bind("adaptive_swap", &p.adaptive_swap,
+         "adapt the swap interval to the exchange acceptance");
+}
+
+/// The one registry adapter: a run_* entry point over its parameter struct
+/// P.  run() copies the configured struct, lets budget.iterations override
+/// the primary budget knob only and threads the budget's stop token and
+/// cache through, so a registry run is bitwise identical to calling run_*
+/// directly.
+template <typename P>
+class ParamsOptimizer final : public Optimizer {
+ public:
+  using RunFn = BaselineResult (*)(const floorplan::Instance&, const P&,
+                                   std::mt19937_64&);
+
+  ParamsOptimizer(const char* name, const char* encoding, RunFn run,
+                  int P::*budget_knob, P defaults)
+      : name_(name),
+        encoding_(encoding),
+        run_(run),
+        budget_knob_(budget_knob),
+        p_(defaults) {}
+
+  const char* name() const override { return name_; }
+  const char* encoding() const override { return encoding_; }
+  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
+                   std::mt19937_64& rng) const override {
+    P p = p_;
+    if (budget.iterations > 0) p.*budget_knob_ = budget.iterations;
+    p.stop = budget.stop;
+    p.tt = budget.tt;
+    return run_(inst, p, rng);
+  }
+
+ protected:
+  void bind(OptionBinder& b) override {
+    bind_options(b, p_);
+    b.bind("spacing_um", &p_.spacing_um,
+           "congestion margin; < 0 = auto (one grid cell)");
+  }
+  void check() const override { p_.check(); }
+
+ private:
+  const char* name_;
+  const char* encoding_;
+  RunFn run_;
+  int P::*budget_knob_;
+  P p_;
+};
+
+template <typename P>
+std::unique_ptr<Optimizer> adapt(const char* name, const char* encoding,
+                                 typename ParamsOptimizer<P>::RunFn run,
+                                 int P::*budget_knob, P defaults = {}) {
+  return std::make_unique<ParamsOptimizer<P>>(name, encoding, run,
+                                              budget_knob, defaults);
+}
+
 constexpr const char* kSeqPair = "sequence-pair";
 constexpr const char* kBStar = "b*-tree";
-
-/// Simulated annealing; `Rep` selects the encoding so "sa" and "sab" are
-/// two registry entries over one implementation.
-template <Representation Rep>
-class SaOptimizer : public Optimizer {
- public:
-  const char* name() const override {
-    return Rep == Representation::kSequencePair ? "sa" : "sab";
-  }
-  const char* encoding() const override {
-    return Rep == Representation::kSequencePair ? kSeqPair : kBStar;
-  }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    SAParams p = p_;
-    if (budget.iterations > 0) p.iterations = budget.iterations;
-    p.stop = budget.stop;
-    p.tt = budget.tt;
-    return Rep == Representation::kSequencePair ? run_sa(inst, p, rng)
-                                                : run_sa_bstar(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("iterations", &p_.iterations, "annealing move budget", 0);
-    b.bind("t_start", &p_.t_start, "initial temperature");
-    b.bind("t_end", &p_.t_end, "final temperature");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  SAParams p_;
-};
-
-class GaOptimizer : public Optimizer {
- public:
-  const char* name() const override { return "ga"; }
-  const char* encoding() const override { return kSeqPair; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    GAParams p = p_;
-    if (budget.iterations > 0) p.generations = budget.iterations;
-    p.stop = budget.stop;
-    return run_ga(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("population", &p_.population, "individuals per generation", 1);
-    b.bind("generations", &p_.generations, "generation budget", 0);
-    b.bind("crossover_rate", &p_.crossover_rate, "crossover probability");
-    b.bind("mutation_rate", &p_.mutation_rate, "mutation probability");
-    b.bind("tournament", &p_.tournament, "tournament selection size", 1);
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  GAParams p_;
-};
-
-class PsoOptimizer : public Optimizer {
- public:
-  const char* name() const override { return "pso"; }
-  const char* encoding() const override { return kSeqPair; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    PSOParams p = p_;
-    if (budget.iterations > 0) p.iterations = budget.iterations;
-    p.stop = budget.stop;
-    return run_pso(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("particles", &p_.particles, "swarm size", 1);
-    b.bind("iterations", &p_.iterations, "synchronous sweep budget", 0);
-    b.bind("inertia", &p_.inertia, "velocity inertia weight");
-    b.bind("c1", &p_.c1, "cognitive coefficient");
-    b.bind("c2", &p_.c2, "social coefficient");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  PSOParams p_;
-};
-
-class RlsaOptimizer : public Optimizer {
- public:
-  const char* name() const override { return "rlsa"; }
-  const char* encoding() const override { return kSeqPair; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    RLSAParams p = p_;
-    if (budget.iterations > 0) p.iterations = budget.iterations;
-    p.stop = budget.stop;
-    p.tt = budget.tt;
-    return run_rlsa(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("iterations", &p_.iterations, "annealing move budget", 0);
-    b.bind("t_start", &p_.t_start, "initial temperature");
-    b.bind("t_end", &p_.t_end, "final temperature");
-    b.bind("learning_rate", &p_.learning_rate,
-           "REINFORCE step for the move-type policy");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  RLSAParams p_;
-};
-
-class RlspOptimizer : public Optimizer {
- public:
-  const char* name() const override { return "rlsp"; }
-  const char* encoding() const override { return kSeqPair; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    RLSPParams p = p_;
-    if (budget.iterations > 0) p.episodes = budget.iterations;
-    p.stop = budget.stop;
-    p.tt = budget.tt;
-    return run_rlsp(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("episodes", &p_.episodes, "policy-gradient episode budget", 0);
-    b.bind("steps_per_episode", &p_.steps_per_episode, "moves per episode", 0);
-    b.bind("learning_rate", &p_.learning_rate, "policy-gradient step size");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  RLSPParams p_;
-};
-
-/// Parallel tempering; `Rep` selects the chain encoding so "pt" and
-/// "pt-bstar" are two registry entries over one implementation.
-template <Representation Rep>
-class PtOptimizer : public Optimizer {
- public:
-  PtOptimizer() { p_.representation = Rep; }
-  const char* name() const override {
-    return Rep == Representation::kSequencePair ? "pt" : "pt-bstar";
-  }
-  const char* encoding() const override {
-    return Rep == Representation::kSequencePair ? kSeqPair : kBStar;
-  }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
-    PTParams p = p_;
-    if (budget.iterations > 0) p.iterations = budget.iterations;
-    p.stop = budget.stop;
-    p.tt = budget.tt;
-    return run_pt(inst, p, rng);
-  }
-
- protected:
-  void bind(OptionBinder& b) override {
-    b.bind("replicas", &p_.replicas, "temperature-ladder size K (>= 2)", 2);
-    b.bind("iterations", &p_.iterations,
-           "mean moves per replica (total = K * this)", 0);
-    b.bind("anneal", &p_.anneal,
-           "annealed ladder (true) vs fixed rungs (false)");
-    b.bind("t_start", &p_.t_start, "annealed mode: coldest start temp");
-    b.bind("t_end", &p_.t_end, "annealed mode: coldest final temp");
-    b.bind("hot_factor", &p_.hot_factor,
-           "annealed mode: hottest/coldest multiplier");
-    b.bind("t_cold", &p_.t_cold, "fixed mode: coldest rung");
-    b.bind("t_hot", &p_.t_hot, "fixed mode: hottest rung; < 0 = auto");
-    b.bind("budget_skew", &p_.budget_skew,
-           "cold-chain move-budget skew (1 = equal chains)");
-    b.bind("swap_interval", &p_.swap_interval,
-           "cold-chain moves between exchange rounds", 1);
-    b.bind("adaptive_swap", &p_.adaptive_swap,
-           "adapt the swap interval to the exchange acceptance");
-    b.bind("spacing_um", &p_.spacing_um,
-           "congestion margin; < 0 = auto (one grid cell)");
-  }
-
- private:
-  PTParams p_;
-};
-
-template <typename T>
-std::unique_ptr<Optimizer> make() {
-  return std::make_unique<T>();
-}
 
 }  // namespace
 
 // ---------------------------------------------------------------- registry
 
 OptimizerRegistry::OptimizerRegistry() {
-  add("sa", &make<SaOptimizer<Representation::kSequencePair>>);
-  add("ga", &make<GaOptimizer>);
-  add("pso", &make<PsoOptimizer>);
-  add("rlsa", &make<RlsaOptimizer>);
-  add("rlsp", &make<RlspOptimizer>);
-  add("sab", &make<SaOptimizer<Representation::kBStarTree>>);
-  add("pt", &make<PtOptimizer<Representation::kSequencePair>>);
-  add("pt-bstar", &make<PtOptimizer<Representation::kBStarTree>>);
+  add("sa", [] {
+    return adapt("sa", kSeqPair, &run_sa, &SAParams::iterations);
+  });
+  add("ga", [] {
+    return adapt("ga", kSeqPair, &run_ga, &GAParams::generations);
+  });
+  add("pso", [] {
+    return adapt("pso", kSeqPair, &run_pso, &PSOParams::iterations);
+  });
+  add("rlsa", [] {
+    return adapt("rlsa", kSeqPair, &run_rlsa, &RLSAParams::iterations);
+  });
+  add("rlsp", [] {
+    return adapt("rlsp", kSeqPair, &run_rlsp, &RLSPParams::episodes);
+  });
+  add("sab", [] {
+    return adapt("sab", kBStar, &run_sa_bstar, &SAParams::iterations);
+  });
+  add("pt", [] {
+    return adapt("pt", kSeqPair, &run_pt, &PTParams::iterations);
+  });
+  add("pt-bstar", [] {
+    PTParams p;
+    p.representation = Representation::kBStarTree;
+    return adapt("pt-bstar", kBStar, &run_pt, &PTParams::iterations, p);
+  });
 }
 
 OptimizerRegistry& OptimizerRegistry::global() {

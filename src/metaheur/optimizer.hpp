@@ -11,11 +11,15 @@
 // factory — the pipeline, the CLI, the benches and the JobService all pick
 // it up without modification.
 //
-// Parity contract: a registry optimizer constructed from its name and
-// defaults calls its run_* entry point with that entry point's default
-// parameter struct, so results are bitwise identical to a direct run_* call
+// Parity contract: every built-in is one adapter, ParamsOptimizer<P>, over
+// a run_* entry point and its parameter struct P (all six derive from
+// SearchParams: spacing_um, stop, tt).  Constructed from its name and
+// defaults, it calls run_* with P's defaults (pt-bstar: representation =
+// kBStarTree), overriding only the primary budget knob, stop and tt from
+// the SearchBudget, so results are bitwise identical to a direct run_* call
 // for every method, thread count and seed (pinned across commits by
-// tests/search_golden_test.cpp).
+// tests/search_golden_test.cpp; the option tables by
+// tests/registry_parity_test.cpp).
 #pragma once
 
 #include <climits>
@@ -64,8 +68,9 @@ struct SearchBudget {
   /// paths, bitwise unchanged).
   const CancelToken* stop = nullptr;
   /// Optional job-scoped transposition cache (metaheur/eval_cache) threaded
-  /// through to the single-chain optimizers so restarts, quanta and PT
-  /// replicas of one job share memoized costs.  Null = no memoization.
+  /// through to every optimizer (GA and PSO never read it) so restarts,
+  /// quanta and PT replicas of one job share memoized costs.  Null = no
+  /// memoization.
   TranspositionCache* tt = nullptr;
 };
 
@@ -127,8 +132,9 @@ class Optimizer {
   /// Candidate encoding the search operates on ("sequence-pair"/"b*-tree").
   virtual const char* encoding() const = 0;
 
-  /// Applies a key=value option map; throws std::invalid_argument on an
-  /// unknown key or a malformed value (the message names both).
+  /// Applies a key=value option map, then check(); throws
+  /// std::invalid_argument on an unknown key, a malformed value (the message
+  /// names both) or an out-of-range configuration.
   void configure(const Options& opts);
   /// Current configuration as a key=value map (defaults unless configured).
   Options options();
@@ -144,6 +150,9 @@ class Optimizer {
  protected:
   /// Enumerates the tunable options over the implementation's param struct.
   virtual void bind(OptionBinder& b) = 0;
+  /// Range check of the configured values, run by configure() so a bad
+  /// option fails as a usage error before any search starts.
+  virtual void check() const {}
 };
 
 using OptimizerFactory = std::unique_ptr<Optimizer> (*)();

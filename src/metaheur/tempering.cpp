@@ -15,26 +15,6 @@ namespace {
 template <class Chain>
 BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
                            std::uint64_t base_seed, const char* method) {
-  if (p.replicas < 2) {
-    throw std::invalid_argument("run_pt: replicas must be >= 2");
-  }
-  if (p.iterations < 0) {
-    throw std::invalid_argument("run_pt: iterations must be >= 0");
-  }
-  if (p.swap_interval < 1) {
-    throw std::invalid_argument("run_pt: swap_interval must be >= 1");
-  }
-  if (p.t_cold <= 0.0 || (p.t_hot >= 0.0 && p.t_hot <= p.t_cold)) {
-    throw std::invalid_argument("run_pt: need t_hot > t_cold > 0");
-  }
-  if (p.anneal && (p.t_end <= 0.0 || p.t_start < p.t_end ||
-                   p.hot_factor < 1.0)) {
-    throw std::invalid_argument(
-        "run_pt: need t_start >= t_end > 0 and hot_factor >= 1");
-  }
-  if (p.budget_skew < 1.0) {
-    throw std::invalid_argument("run_pt: budget_skew must be >= 1");
-  }
   const auto t0 = std::chrono::steady_clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
   const int K = p.replicas;
@@ -203,6 +183,28 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
 
 }  // namespace
 
+void PTParams::check() const {
+  if (replicas < 2) {
+    throw std::invalid_argument("run_pt: replicas must be >= 2");
+  }
+  if (iterations < 0) {
+    throw std::invalid_argument("run_pt: iterations must be >= 0");
+  }
+  if (swap_interval < 1) {
+    throw std::invalid_argument("run_pt: swap_interval must be >= 1");
+  }
+  if (t_cold <= 0.0 || (t_hot >= 0.0 && t_hot <= t_cold)) {
+    throw std::invalid_argument("run_pt: need t_hot > t_cold > 0");
+  }
+  if (anneal && (t_end <= 0.0 || t_start < t_end || hot_factor < 1.0)) {
+    throw std::invalid_argument(
+        "run_pt: need t_start >= t_end > 0 and hot_factor >= 1");
+  }
+  if (budget_skew < 1.0) {
+    throw std::invalid_argument("run_pt: budget_skew must be >= 1");
+  }
+}
+
 const char* to_string(Representation rep) {
   return rep == Representation::kBStarTree ? "bstar" : "sp";
 }
@@ -249,6 +251,7 @@ std::mt19937_64 replica_rng(std::uint64_t base_seed, int replica) {
 
 BaselineResult run_pt(const floorplan::Instance& inst, const PTParams& p,
                       std::mt19937_64& rng) {
+  p.check();
   const std::uint64_t base_seed = rng();
   return p.representation == Representation::kBStarTree
              ? run_pt_impl<BStarChain>(inst, p, base_seed, "PT-B*")

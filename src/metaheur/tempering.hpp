@@ -44,7 +44,7 @@ const char* to_string(Representation rep);
 /// a small skewed ladder whose cold chain starts below SA's t_start wins
 /// because the hot rungs take over the exploration phase the cold chain
 /// no longer pays for.
-struct PTParams {
+struct PTParams : SearchParams {
   int replicas = 3;        ///< ladder size K (>= 2)
   int iterations = 1333;   ///< mean moves per replica (total = K * this)
   /// Annealed ladder (default): every chain cools geometrically from
@@ -76,14 +76,9 @@ struct PTParams {
   /// only deterministic history, so the reproducibility contract holds.
   bool adaptive_swap = false;
   Representation representation = Representation::kSequencePair;
-  double spacing_um = -1.0;  ///< < 0 = auto (one grid cell), as the baselines
-  /// Polled by every chain per move (and between exchange rounds); a
-  /// stopped ensemble returns the best state visited so far.
-  const CancelToken* stop = nullptr;
-  /// Optional job-scoped transposition cache shared by all replicas (and, in
-  /// a multi-start, by all restarts).  Memoized costs are pure functions of
-  /// the key, so sharing preserves the bitwise thread-invariance contract.
-  TranspositionCache* tt = nullptr;
+  /// replicas >= 2, iterations >= 0, swap_interval >= 1, t_hot > t_cold > 0,
+  /// annealed t_start >= t_end > 0 and hot_factor >= 1, budget_skew >= 1.
+  void check() const;
 };
 
 /// Rounds between adaptive swap-interval updates.

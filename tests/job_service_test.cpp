@@ -390,6 +390,23 @@ TEST(Retry, ExhaustedRetriesClassifyAsOptimizerFailure) {
   EXPECT_EQ(report.attempts, 1);
 }
 
+TEST(Retry, OutOfRangeOptionIsInvalidConfigAndNotRetried) {
+  // An annealing schedule the optimizer cannot run is a configuration
+  // error, caught when the optimizer is configured: never retried.
+  JobSpec spec;
+  spec.name = "bad-ladder";
+  spec.netlist = netlist::make_ota_small();
+  spec.config.optimizer = "pt";
+  spec.config.options = {{"t_end", "-1"}};
+  spec.config.search.retry.max_retries = 2;
+  spec.config.search.retry.backoff_s = 0.0;
+  const auto report =
+      JobService::run_job(spec, 0, JobService::job_seed(1, 0), nullptr, {});
+  EXPECT_EQ(report.status, JobStatus::kFailed);
+  EXPECT_EQ(report.error.kind, JobErrorKind::kInvalidConfig);
+  EXPECT_EQ(report.attempts, 1);
+}
+
 TEST(Checkpoint, ResumeIsBitwiseIdenticalAcrossThreadCounts) {
   auto make_spec = [](int quanta, const std::string& ckpt, bool resume) {
     JobSpec spec;
@@ -590,6 +607,37 @@ TEST(JobService, NestedParallelJobsSideBySideMatchRunJob) {
     const auto direct = JobService::run_job(
         jobs[i], i, JobService::job_seed(31, i), nullptr, {});
     expect_identical(direct, served, jobs[i].config.optimizer);
+  }
+  num::set_num_threads(0);
+}
+
+TEST(JobService, RestartsEqualTheSameNumberOfQuanta) {
+  // search.restarts = N runs quanta 0..N-1 of the quantum loop as one
+  // wave, so it must produce exactly the bits of budget.quanta = N; only
+  // the reported quantum count differs.
+  for (const char* optimizer : {"sa", "pt"}) {
+    for (const int threads : {1, 4}) {
+      num::set_num_threads(threads);
+      JobSpec restarts;
+      restarts.name = "restarts";
+      restarts.netlist = netlist::make_ota2();
+      restarts.config.optimizer = optimizer;
+      restarts.config.options = {{"iterations", "150"}};
+      restarts.config.search.restarts = 3;
+      JobSpec quanta = restarts;
+      quanta.config.search.restarts = 1;
+      quanta.config.search.budget.quanta = 3;
+      const auto seed = JobService::job_seed(5, 0);
+      const auto a = JobService::run_job(restarts, 0, seed, nullptr, {});
+      const auto b = JobService::run_job(quanta, 0, seed, nullptr, {});
+      ASSERT_EQ(a.status, JobStatus::kDone) << a.error.message;
+      ASSERT_EQ(b.status, JobStatus::kDone) << b.error.message;
+      const std::string what =
+          std::string(optimizer) + " @" + std::to_string(threads);
+      expect_identical(a, b, what);
+      EXPECT_EQ(a.result.quanta, 1) << what;
+      EXPECT_EQ(b.result.quanta, 3) << what;
+    }
   }
   num::set_num_threads(0);
 }

@@ -6,6 +6,10 @@
 // to add a search, so any drift between the two surfaces is a regression.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
+#include <utility>
+
 #include "core/pipeline.hpp"
 #include "metaheur/optimizer.hpp"
 #include "netlist/library.hpp"
@@ -74,6 +78,112 @@ TEST(OptimizerOptions, RoundTripAndValidation) {
                std::invalid_argument);
 }
 
+TEST(OptimizerOptions, RangeChecksRunAtConfigureTime) {
+  // A schedule or ladder the search cannot run is rejected by
+  // configure() itself, so the CLI exits 2 and afpd answers invalid_config
+  // instead of failing (and retrying) inside run().
+  const std::vector<std::pair<std::string, metaheur::Options>> bad = {
+      {"pt", {{"t_end", "-1"}}},       {"pt-bstar", {{"t_end", "-1"}}},
+      {"pt", {{"hot_factor", "0.5"}}}, {"pt", {{"budget_skew", "0.5"}}},
+      {"pt", {{"t_cold", "0"}}},       {"pt", {{"t_hot", "1e-4"}}},
+      {"sa", {{"t_end", "-1"}}},       {"sa", {{"t_start", "0"}}},
+      {"sab", {{"t_end", "0"}}},       {"sab", {{"t_start", "-2"}}},
+      {"rlsa", {{"t_end", "-1"}}},     {"rlsa", {{"t_start", "0"}}}};
+  for (const auto& [name, opts] : bad) {
+    EXPECT_THROW(metaheur::make_optimizer(name, opts), std::invalid_argument)
+        << name << " " << opts.begin()->first << "=" << opts.begin()->second;
+  }
+  // The same check guards the direct entry points.
+  const auto nl = netlist::make_ota_small();
+  auto g = graphir::build_graph(nl, structrec::recognize(nl));
+  const auto inst = floorplan::make_instance(g);
+  std::mt19937_64 rng(3);
+  metaheur::SAParams sa;
+  sa.t_end = -1.0;
+  EXPECT_THROW(metaheur::run_sa(inst, sa, rng), std::invalid_argument);
+  EXPECT_THROW(metaheur::run_sa_bstar(inst, sa, rng), std::invalid_argument);
+  metaheur::RLSAParams rlsa;
+  rlsa.t_start = 0.0;
+  EXPECT_THROW(metaheur::run_rlsa(inst, rlsa, rng), std::invalid_argument);
+  // In-range values still configure.
+  EXPECT_NO_THROW(metaheur::make_optimizer("pt", {{"t_end", "0.5"}}));
+  EXPECT_NO_THROW(metaheur::make_optimizer("sa", {{"t_start", "0.01"}}));
+}
+
+TEST(OptimizerRegistry, DescribeTableIsPinned) {
+  // Every optimizer's name, encoding and (key, default, help) rows, as
+  // `afp list-baselines` printed them before the registry wrappers were
+  // folded into one adapter.  A change here is a user-visible change.
+  struct Row {
+    std::string key, value, help;
+  };
+  const std::string kSpacing = "congestion margin; < 0 = auto (one grid cell)";
+  const std::vector<Row> sa = {{"iterations", "4000", "annealing move budget"},
+                               {"t_start", "2", "initial temperature"},
+                               {"t_end", "0.001", "final temperature"},
+                               {"spacing_um", "-1", kSpacing}};
+  const std::vector<Row> pt = {
+      {"replicas", "3", "temperature-ladder size K (>= 2)"},
+      {"iterations", "1333", "mean moves per replica (total = K * this)"},
+      {"anneal", "true", "annealed ladder (true) vs fixed rungs (false)"},
+      {"t_start", "0.5", "annealed mode: coldest start temp"},
+      {"t_end", "0.001", "annealed mode: coldest final temp"},
+      {"hot_factor", "8", "annealed mode: hottest/coldest multiplier"},
+      {"t_cold", "0.001", "fixed mode: coldest rung"},
+      {"t_hot", "-1", "fixed mode: hottest rung; < 0 = auto"},
+      {"budget_skew", "3", "cold-chain move-budget skew (1 = equal chains)"},
+      {"swap_interval", "8", "cold-chain moves between exchange rounds"},
+      {"adaptive_swap", "false",
+       "adapt the swap interval to the exchange acceptance"},
+      {"spacing_um", "-1", kSpacing}};
+  const std::vector<std::tuple<std::string, std::string, std::vector<Row>>>
+      table = {
+          {"ga", "sequence-pair",
+           {{"population", "24", "individuals per generation"},
+            {"generations", "60", "generation budget"},
+            {"crossover_rate", "0.90000000000000002", "crossover probability"},
+            {"mutation_rate", "0.29999999999999999", "mutation probability"},
+            {"tournament", "3", "tournament selection size"},
+            {"spacing_um", "-1", kSpacing}}},
+          {"pso", "sequence-pair",
+           {{"particles", "20", "swarm size"},
+            {"iterations", "80", "synchronous sweep budget"},
+            {"inertia", "0.71999999999999997", "velocity inertia weight"},
+            {"c1", "1.5", "cognitive coefficient"},
+            {"c2", "1.5", "social coefficient"},
+            {"spacing_um", "-1", kSpacing}}},
+          {"pt", "sequence-pair", pt},
+          {"pt-bstar", "b*-tree", pt},
+          {"rlsa", "sequence-pair",
+           {{"iterations", "4000", "annealing move budget"},
+            {"t_start", "2", "initial temperature"},
+            {"t_end", "0.001", "final temperature"},
+            {"learning_rate", "0.10000000000000001",
+             "REINFORCE step for the move-type policy"},
+            {"spacing_um", "-1", kSpacing}}},
+          {"rlsp", "sequence-pair",
+           {{"episodes", "160", "policy-gradient episode budget"},
+            {"steps_per_episode", "60", "moves per episode"},
+            {"learning_rate", "0.050000000000000003",
+             "policy-gradient step size"},
+            {"spacing_um", "-1", kSpacing}}},
+          {"sa", "sequence-pair", sa},
+          {"sab", "b*-tree", sa}};
+  ASSERT_EQ(metaheur::optimizer_names().size(), table.size());
+  for (const auto& [name, encoding, rows] : table) {
+    const auto opt = metaheur::make_optimizer(name);
+    EXPECT_STREQ(opt->name(), name.c_str());
+    EXPECT_EQ(opt->encoding(), encoding) << name;
+    const auto specs = opt->describe();
+    ASSERT_EQ(specs.size(), rows.size()) << name;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(specs[i].key, rows[i].key) << name << " row " << i;
+      EXPECT_EQ(specs[i].value, rows[i].value) << name << " " << rows[i].key;
+      EXPECT_EQ(specs[i].help, rows[i].help) << name << " " << rows[i].key;
+    }
+  }
+}
+
 TEST(OptimizerOptions, BudgetOverridesPrimaryKnob) {
   const auto nl = netlist::make_ota_small();
   auto g = graphir::build_graph(nl, structrec::recognize(nl));
@@ -85,6 +195,79 @@ TEST(OptimizerOptions, BudgetOverridesPrimaryKnob) {
   const auto b = by_budget->run(inst, {/*iterations=*/77, 0.0}, r2);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.rects, b.rects);
+}
+
+TEST(RegistryParity, EveryBuiltinMatchesItsDirectCall) {
+  // The adapter's budget override must land on each struct's primary knob
+  // and nowhere else: a registry run with budget.iterations = N equals the
+  // run_* call with that knob set to N, bit for bit.
+  const auto nl = netlist::make_bias1();
+  auto g = graphir::build_graph(nl, structrec::recognize(nl));
+  const auto inst = floorplan::make_instance(g);
+  using Direct = std::function<metaheur::SearchResult(std::mt19937_64&)>;
+  const int n = 12;
+  const std::vector<std::pair<std::string, Direct>> cases = {
+      {"sa",
+       [&](std::mt19937_64& r) {
+         metaheur::SAParams p;
+         p.iterations = n;
+         return metaheur::run_sa(inst, p, r);
+       }},
+      {"sab",
+       [&](std::mt19937_64& r) {
+         metaheur::SAParams p;
+         p.iterations = n;
+         return metaheur::run_sa_bstar(inst, p, r);
+       }},
+      {"ga",
+       [&](std::mt19937_64& r) {
+         metaheur::GAParams p;
+         p.generations = n;
+         return metaheur::run_ga(inst, p, r);
+       }},
+      {"pso",
+       [&](std::mt19937_64& r) {
+         metaheur::PSOParams p;
+         p.iterations = n;
+         return metaheur::run_pso(inst, p, r);
+       }},
+      {"rlsa",
+       [&](std::mt19937_64& r) {
+         metaheur::RLSAParams p;
+         p.iterations = n;
+         return metaheur::run_rlsa(inst, p, r);
+       }},
+      {"rlsp",
+       [&](std::mt19937_64& r) {
+         metaheur::RLSPParams p;
+         p.episodes = n;
+         return metaheur::run_rlsp(inst, p, r);
+       }},
+      {"pt",
+       [&](std::mt19937_64& r) {
+         metaheur::PTParams p;
+         p.iterations = n;
+         return metaheur::run_pt(inst, p, r);
+       }},
+      {"pt-bstar", [&](std::mt19937_64& r) {
+         metaheur::PTParams p;
+         p.iterations = n;
+         p.representation = metaheur::Representation::kBStarTree;
+         return metaheur::run_pt(inst, p, r);
+       }}};
+  ASSERT_EQ(cases.size(), metaheur::optimizer_names().size());
+  for (const auto& [name, direct] : cases) {
+    metaheur::SearchBudget budget;
+    budget.iterations = n;
+    std::mt19937_64 r1(11), r2(11);
+    const auto via_registry =
+        metaheur::make_optimizer(name)->run(inst, budget, r1);
+    const auto legacy = direct(r2);
+    EXPECT_EQ(via_registry.rects, legacy.rects) << name;
+    EXPECT_EQ(via_registry.evaluations, legacy.evaluations) << name;
+    EXPECT_EQ(via_registry.method, legacy.method) << name;
+    EXPECT_EQ(r1(), r2()) << name << ": rng streams diverged";
+  }
 }
 
 TEST(RegistryParity, PtBstarMatchesDirectLegacyCall) {

@@ -564,6 +564,33 @@ TEST_F(ServiceE2E, MalformedSubmitsGetStructuredErrorsSessionSurvives) {
   EXPECT_EQ(client.await_result(acc.job).status, "done");
 }
 
+TEST_F(ServiceE2E, OutOfRangeOptionIsRejectedBeforeAdmission) {
+  // The optimizer's range check runs when the submit check configures it,
+  // so a ladder or schedule the search cannot run never takes a slot.
+  start_server({});
+  Client client = connect();
+  const char* bad[] = {
+      R"({"type": "submit", "circuit": "ota2",
+          "config": {"optimizer": "pt", "options": {"t_end": "-1"},
+                     "search": {"max_retries": 2}}})",
+      R"({"type": "submit", "circuit": "ota2",
+          "config": {"optimizer": "sa", "options": {"t_end": "-1"}}})",
+  };
+  for (const char* payload : bad) {
+    client.send_frame(payload);
+    const JsonValue v = service::json_parse(client.read_frame());
+    EXPECT_EQ(v.at("type").as_string(), "error") << payload;
+    EXPECT_EQ(v.at("kind").as_string(), "invalid_config") << payload;
+    EXPECT_NE(v.at("message").as_string().find("t_end"), std::string::npos)
+        << payload;
+  }
+  const auto st = server_->stats_snapshot();
+  EXPECT_EQ(st.inflight, 0u);
+  EXPECT_EQ(st.parked, 0u);
+  const auto acc = client.submit("ota_small", 4, 0, config_json(40));
+  EXPECT_EQ(client.await_result(acc.job).status, "done");
+}
+
 TEST_F(ServiceE2E, JunkBytesCloseTheSessionWithAPartingError) {
   start_server({});
   Client victim = connect();

@@ -464,26 +464,97 @@ std::vector<std::string> batch_inputs(const std::string& path) {
   return inputs;
 }
 
+/// The shared tail of --batch and --scenario-matrix.  `reports` holds one
+/// slot per batch entry, with entries that could not be built already
+/// filled in as failed; `jobs` run under their entry positions `ids`, from
+/// which report ids, per-job seeds and .job<i> checkpoint paths derive, so
+/// fixing a broken entry never reshuffles its siblings.  Prints one job
+/// table and the `<label>: N/M done` line, writes --report-json and maps
+/// the done count to the exit code: 0 when every job is done, 1 when none
+/// is, 3 for a partial failure (2 stays usage-only).
+int run_batch_jobs(const Args& args, const core::PipelineConfig& cfg,
+                   std::uint64_t seed, const char* label,
+                   std::vector<core::JobSpec> jobs,
+                   const std::vector<std::size_t>& ids,
+                   std::vector<core::JobReport> reports) {
+  if (!cfg.search.checkpoint_path.empty()) {
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      jobs[k].config.search.checkpoint_path =
+          cfg.search.checkpoint_path + ".job" + std::to_string(ids[k]);
+    }
+  }
+  std::mutex io_mu;
+  core::JobServiceOptions sopts;
+  sopts.base_seed = seed;
+  sopts.on_progress = [&](const core::JobProgress& p) {
+    std::lock_guard<std::mutex> lock(io_mu);
+    std::printf("  [%zu] %-24s %s (%.2fs)%s\n", p.id, p.name.c_str(),
+                core::to_string(p.status), p.runtime_s,
+                p.attempt > 0 ? " [retry]" : "");
+  };
+  for (auto& r : core::JobService::run_batch(std::move(jobs), sopts, ids)) {
+    reports[r.id] = std::move(r);
+  }
+
+  std::printf("\n%-24s %-10s %12s %12s %11s %8s %9s %8s\n", "job", "status",
+              "cost", "HPWL(um)", "constraints", "blocks", "runtime",
+              "quanta");
+  std::size_t done = 0, satisfied = 0, constrained = 0;
+  for (const auto& r : reports) {
+    if (r.status != core::JobStatus::kDone) {
+      std::printf("%-24s %-10s %12s %12s %11s %8s %8.2fs %8s  [%s] %s\n",
+                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
+                  "-", r.runtime_s, "-", core::to_string(r.error.kind),
+                  r.error.message.c_str());
+      continue;
+    }
+    ++done;
+    const floorplan::Evaluation& ev = r.result.eval;
+    // Constrained jobs show the violated/total item breakdown, so a
+    // near-miss reads differently from an unconstrained run.
+    char cons[24] = "none";
+    if (!r.result.instance.constraints.empty()) {
+      ++constrained;
+      if (ev.constraints_ok) {
+        ++satisfied;
+        std::snprintf(cons, sizeof cons, "ok");
+      } else {
+        std::snprintf(cons, sizeof cons, "%d/%d", ev.constraint_violations,
+                      ev.constraint_items);
+      }
+    }
+    std::printf("%-24s %-10s %12.4f %12.1f %11s %8zu %8.2fs %8ld\n",
+                r.name.c_str(), core::to_string(r.status),
+                metaheur::sp_cost(r.result.instance, r.result.rects), ev.hpwl,
+                cons, r.result.rects.size(), r.runtime_s, r.result.quanta);
+  }
+  std::printf("\n%s: %zu/%zu done | constraints satisfied %zu/%zu\n", label,
+              done, reports.size(), satisfied, constrained);
+  if (args.has("report-json")) {
+    const std::string path = args.get("report-json", "");
+    write_file(path,
+               core::batch_report_json(reports, seed,
+                                       cfg.search.budget.wall_clock_s,
+                                       num::num_threads()));
+    std::printf("wrote %s\n", path.c_str());
+  }
+  if (done == reports.size()) return 0;
+  return done == 0 ? 1 : 3;
+}
+
 int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
                         const std::string& name, std::uint64_t seed) {
   const auto inputs = batch_inputs(args.get("batch", ""));
   // A manifest entry that fails to load (unreadable file, unparsable
   // netlist) must not abort the batch: it is skipped here and reported as a
-  // failed job with kind invalid_config.  Runnable jobs keep their manifest
-  // position (ids, per-job seeds and checkpoint paths are derived from it),
-  // so adding or fixing a broken line never reshuffles sibling results.
+  // failed job with kind invalid_config.
   std::vector<core::JobSpec> jobs;
   std::vector<std::size_t> ids;
   std::vector<core::JobReport> reports(inputs.size());
-  jobs.reserve(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     core::JobSpec spec;
     spec.name = std::filesystem::path(inputs[i]).stem().string();
     spec.config = cfg;
-    if (!cfg.search.checkpoint_path.empty()) {
-      spec.config.search.checkpoint_path =
-          cfg.search.checkpoint_path + ".job" + std::to_string(i);
-    }
     try {
       spec.netlist = load_circuit(inputs[i]);
     } catch (const std::exception& e) {
@@ -508,49 +579,8 @@ int cmd_floorplan_batch(const Args& args, const core::PipelineConfig& cfg,
               inputs.size(), inputs.size() - jobs.size(), name.c_str(),
               num::num_threads(), static_cast<unsigned long long>(seed),
               cfg.search.budget.wall_clock_s > 0.0 ? " | time-budgeted" : "");
-  std::mutex io_mu;
-  core::JobServiceOptions sopts;
-  sopts.base_seed = seed;
-  sopts.on_progress = [&](const core::JobProgress& p) {
-    std::lock_guard<std::mutex> lock(io_mu);
-    std::printf("  [%zu] %-16s %s (%.2fs)%s\n", p.id, p.name.c_str(),
-                core::to_string(p.status), p.runtime_s,
-                p.attempt > 0 ? " [retry]" : "");
-  };
-  for (auto& r : core::JobService::run_batch(std::move(jobs), sopts, ids)) {
-    reports[r.id] = std::move(r);
-  }
-
-  std::printf("\n%-16s %-10s %12s %12s %10s %10s %8s\n", "job", "status",
-              "cost", "HPWL(um)", "reward", "runtime", "quanta");
-  std::size_t done = 0;
-  for (const auto& r : reports) {
-    if (r.status != core::JobStatus::kDone) {
-      std::printf("%-16s %-10s %12s %12s %10s %9.2fs %8s  [%s] %s\n",
-                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
-                  r.runtime_s, "-", core::to_string(r.error.kind),
-                  r.error.message.c_str());
-      continue;
-    }
-    ++done;
-    std::printf("%-16s %-10s %12.4f %12.1f %10.2f %9.2fs %8ld\n",
-                r.name.c_str(), core::to_string(r.status),
-                metaheur::sp_cost(r.result.instance, r.result.rects),
-                r.result.eval.hpwl, r.result.eval.reward, r.runtime_s,
-                r.result.quanta);
-  }
-  if (args.has("report-json")) {
-    const std::string path = args.get("report-json", "batch.json");
-    write_file(path,
-               core::batch_report_json(reports, seed,
-                                       cfg.search.budget.wall_clock_s,
-                                       num::num_threads()));
-    std::printf("wrote %s\n", path.c_str());
-  }
-  // 0: every job done; 1: nothing succeeded; 3: partial failure (some jobs
-  // done, some failed/skipped) — distinct from 2, which stays usage-only.
-  if (done == reports.size()) return 0;
-  return done == 0 ? 1 : 3;
+  return run_batch_jobs(args, cfg, seed, "batch", std::move(jobs), ids,
+                        std::move(reports));
 }
 
 /// The fully validated search configuration shared by the floorplan,
@@ -725,6 +755,7 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
   // Family-major, then size, then seed: the instance list (and with it the
   // per-job search seeds) is a pure function of the matrix spec.
   std::vector<core::JobSpec> jobs;
+  std::vector<std::size_t> ids;
   for (const auto& fam : split_commas(parts[0])) {
     for (const auto& size : split_commas(parts[1])) {
       for (long long s = 1; s <= nseeds; ++s) {
@@ -741,11 +772,7 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
         job.netlist = std::move(sc.netlist);
         job.config = setup.cfg;
         job.config.scenario_constraints = std::move(sc.constraints);
-        if (!setup.cfg.search.checkpoint_path.empty()) {
-          job.config.search.checkpoint_path =
-              setup.cfg.search.checkpoint_path + ".job" +
-              std::to_string(jobs.size());
-        }
+        ids.push_back(jobs.size());
         jobs.push_back(std::move(job));
       }
     }
@@ -755,57 +782,9 @@ int cmd_scenario_matrix(const Args& args, const SearchSetup& setup) {
               "seed %llu\n",
               jobs.size(), setup.baseline.c_str(), num::num_threads(),
               static_cast<unsigned long long>(setup.seed));
-  core::JobServiceOptions batch;
-  batch.base_seed = setup.seed;
-  const std::vector<core::JobReport> reports =
-      core::JobService::run_batch(std::move(jobs), batch);
-
-  std::printf("\n%-24s %-10s %12s %12s %11s %8s\n", "instance", "status",
-              "cost", "HPWL(um)", "constraints", "blocks");
-  std::size_t done = 0, satisfied = 0, constrained = 0;
-  for (const auto& r : reports) {
-    if (r.status != core::JobStatus::kDone) {
-      std::printf("%-24s %-10s %12s %12s %11s %8s  [%s] %s\n",
-                  r.name.c_str(), core::to_string(r.status), "-", "-", "-",
-                  "-", core::to_string(r.error.kind),
-                  r.error.message.c_str());
-      continue;
-    }
-    ++done;
-    const bool has_constraints = !r.result.instance.constraints.empty();
-    if (has_constraints) {
-      ++constrained;
-      if (r.result.eval.constraints_ok) ++satisfied;
-    }
-    // Constrained instances show the violated/total item breakdown, so a
-    // near-miss reads differently from an unconstrained run.
-    char cons[24];
-    if (!has_constraints) {
-      std::snprintf(cons, sizeof cons, "none");
-    } else if (r.result.eval.constraints_ok) {
-      std::snprintf(cons, sizeof cons, "ok");
-    } else {
-      std::snprintf(cons, sizeof cons, "%d/%d",
-                    r.result.eval.constraint_violations,
-                    r.result.eval.constraint_items);
-    }
-    std::printf("%-24s %-10s %12.4f %12.1f %11s %8zu\n", r.name.c_str(),
-                core::to_string(r.status),
-                metaheur::sp_cost(r.result.instance, r.result.rects),
-                r.result.eval.hpwl, cons, r.result.rects.size());
-  }
-  std::printf("\nmatrix: %zu/%zu done | constraints satisfied %zu/%zu\n",
-              done, reports.size(), satisfied, constrained);
-  if (args.has("report-json")) {
-    const std::string path = args.get("report-json", "matrix.json");
-    write_file(path, core::batch_report_json(
-                         reports, setup.seed,
-                         setup.cfg.search.budget.wall_clock_s,
-                         num::num_threads()));
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (done == reports.size()) return 0;
-  return done == 0 ? 1 : 3;
+  std::vector<core::JobReport> reports(jobs.size());
+  return run_batch_jobs(args, setup.cfg, setup.seed, "matrix",
+                        std::move(jobs), ids, std::move(reports));
 }
 
 int cmd_floorplan(const Args& args) {
