@@ -125,9 +125,9 @@ JobReport JobService::run_job(const JobSpec& spec, std::size_t id,
   auto elapsed = [&] {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
-  auto notify = [&](JobStatus status, int attempt) {
+  auto notify = [&](JobStatus status, int attempt, const JobReport* done) {
     if (progress) {
-      progress({report.id, report.name, status, elapsed(), attempt});
+      progress({report.id, report.name, status, elapsed(), attempt, done});
     }
   };
   report.optimizer = spec.config.optimizer;
@@ -144,7 +144,7 @@ JobReport JobService::run_job(const JobSpec& spec, std::size_t id,
       }
     }
     report.attempts = attempt + 1;
-    notify(JobStatus::kRunning, attempt);
+    notify(JobStatus::kRunning, attempt, nullptr);
     // The watchdog rides a *child* of the job's cancel token: one deadline
     // per attempt, measured on the monotonic clock from the attempt's
     // start, armed on private state so it never clobbers a deadline the
@@ -207,7 +207,7 @@ JobReport JobService::run_job(const JobSpec& spec, std::size_t id,
     }
   }
   report.runtime_s = elapsed();
-  notify(report.status, report.attempts - 1);
+  notify(report.status, report.attempts - 1, &report);
   return report;
 }
 
@@ -236,6 +236,10 @@ void JobService::stop_workers() {
 
 JobService::Handle JobService::submit(JobSpec spec) {
   return enqueue(std::move(spec), std::nullopt);
+}
+
+JobService::Handle JobService::submit(JobSpec spec, std::size_t id) {
+  return enqueue(std::move(spec), id);
 }
 
 JobService::Handle JobService::enqueue(JobSpec spec,

@@ -16,12 +16,14 @@
 //                      ROADMAP's budgeted mode: quanta race the clock,
 //                      deterministically per completed quantum count),
 //   * progress       — an optional callback fired from worker threads on
-//                      every job state change (must be thread-safe).
+//                      every job state change (must be thread-safe); the
+//                      terminal event carries the finished report.
 //
-// Reproducibility: job k (in submission order) always runs under the rng
-// seed job_seed(base_seed, k) — a SplitMix64 stream independent of thread
-// count, worker assignment and submission timing — so a batch's reports
-// are bitwise identical across runs and pool sizes.
+// Reproducibility: job k (its id: the submission order, or the id the
+// caller passed) always runs under the rng seed job_seed(base_seed, k) — a
+// SplitMix64 stream independent of thread count, worker assignment and
+// submission timing — so a batch's reports are bitwise identical across
+// runs and pool sizes.
 #pragma once
 
 #include <condition_variable>
@@ -110,13 +112,17 @@ struct JobReport {
   PipelineResult result;
 };
 
-/// Progress event; fired on kRunning and on every terminal state.
+/// Progress event; fired on kRunning (once per attempt) and once on the
+/// terminal state.
 struct JobProgress {
   std::size_t id = 0;
   std::string name;
   JobStatus status = JobStatus::kQueued;
   double runtime_s = 0.0;
   int attempt = 0;  ///< 0-based; > 0 on retries
+  /// The finished report on the terminal event, null on every other one.
+  /// Valid only during the callback: copy what must outlive it.
+  const JobReport* report = nullptr;
 };
 
 using ProgressFn = std::function<void(const JobProgress&)>;
@@ -149,6 +155,9 @@ class JobService {
 
   /// Enqueues a job as the next id; the first free worker runs it.
   Handle submit(JobSpec spec);
+  /// Enqueues a job as job `id` (report id, seed job_seed(base_seed, id),
+  /// fault site); afpd passes its own, distinct job ids.
+  Handle submit(JobSpec spec, std::size_t id);
 
   /// Blocks until every job submitted so far reached a terminal state.
   void wait_all();

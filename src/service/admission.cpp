@@ -56,15 +56,15 @@ AdmissionQueue::Verdict AdmissionQueue::admit(std::uint64_t session,
     }
     return Verdict::kRejected;
   }
-  if (inflight_ < static_cast<std::size_t>(cfg_.max_inflight)) {
+  if (inflight_ < slots_) {
     ++inflight_;
     ++it->second.outstanding;
     owner_[job] = session;
     return Verdict::kRun;
   }
-  if (parked_.size() >= static_cast<std::size_t>(cfg_.max_parked)) {
+  if (parked_.size() >= kMaxParked) {
     if (reason) {
-      *reason = "wait queue full (" + std::to_string(cfg_.max_parked) +
+      *reason = "wait queue full (" + std::to_string(kMaxParked) +
                 " parked jobs)";
     }
     return Verdict::kRejected;
@@ -96,8 +96,7 @@ std::vector<std::uint64_t> AdmissionQueue::release(std::uint64_t job) {
     --s->second.outstanding;
   }
   owner_.erase(o);
-  while (inflight_ < static_cast<std::size_t>(cfg_.max_inflight) &&
-         !parked_.empty()) {
+  while (inflight_ < slots_ && !parked_.empty()) {
     // Highest priority wins; FIFO (lowest seq) inside a priority class.
     auto best = parked_.begin();
     for (auto p = std::next(parked_.begin()); p != parked_.end(); ++p) {

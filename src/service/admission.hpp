@@ -15,8 +15,10 @@
 //     session — the quota; an over-quota submit is REJECTED
 //     (resource_exhausted), not parked, so one greedy client cannot grow
 //     the wait queue without bound,
-//   * at most cfg.max_inflight jobs running at once; further admits park,
-//   * at most cfg.max_parked parked jobs total (back-pressure cap),
+//   * one running job per run slot — the server passes the JobService's
+//     worker count, so an admitted job goes straight to a free worker;
+//     further admits park here, the only queue a waiting job sits in,
+//   * at most kMaxParked parked jobs total (back-pressure cap),
 //   * parked jobs launch by (priority desc, arrival seq asc) — strict and
 //     deterministic, no aging,
 //   * begin_drain(): every later admit is rejected (kResourceExhausted,
@@ -35,21 +37,24 @@
 
 namespace afp::service {
 
+/// Total parked jobs across sessions; a submit past it is rejected.
+inline constexpr std::size_t kMaxParked = 256;
+
 struct AdmissionConfig {
-  int max_sessions = 16;  ///< concurrent client sessions (AFPD_MAX_SESSIONS)
-  int max_inflight = 2;   ///< jobs running at once (AFPD_MAX_INFLIGHT)
-  int per_session = 8;    ///< outstanding jobs per session (AFPD_SESSION_QUOTA)
-  int max_parked = 256;   ///< total parked jobs across sessions
-  /// Malformed requests a session survives before it is ejected
-  /// (AFPD_STRIKE_LIMIT); 0 disables the limit.  Framing-level damage
-  /// (bad length prefix) still closes the session immediately — strikes
-  /// only meter violations the parser can recover from.
+  int max_sessions = 16;  ///< concurrent client sessions
+  int per_session = 8;    ///< outstanding jobs per session
+  /// Malformed requests a session survives before it is ejected; 0
+  /// disables the limit.  Framing-level damage (bad length prefix) still
+  /// closes the session immediately — strikes only meter violations the
+  /// parser can recover from.
   int strike_limit = 16;
 };
 
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(AdmissionConfig cfg) : cfg_(cfg) {}
+  /// `slots`: how many admitted jobs run at once.
+  AdmissionQueue(AdmissionConfig cfg, std::size_t slots)
+      : cfg_(cfg), slots_(slots) {}
 
   enum class Verdict { kRun, kParked, kRejected };
 
@@ -67,7 +72,7 @@ class AdmissionQueue {
 
   /// Records a terminal job (running or parked — cancellation of a parked
   /// job releases it too) and pops parked jobs, highest (priority, -seq)
-  /// first, while in-flight capacity allows.  The returned jobs are now
+  /// first, while a run slot is free.  The returned jobs are now
   /// counted in-flight; the server must launch each one.
   std::vector<std::uint64_t> release(std::uint64_t job);
 
@@ -103,6 +108,7 @@ class AdmissionQueue {
   };
 
   AdmissionConfig cfg_;
+  std::size_t slots_;
   mutable std::mutex mu_;
   std::map<std::uint64_t, SessionState> sessions_;
   std::vector<Parked> parked_;

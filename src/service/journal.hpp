@@ -17,7 +17,7 @@
 // serves them via the `orphans` request and counts them in `stats`.
 //
 // All operations lock one mutex; the write volume is bounded by admission
-// (max_inflight + max_parked entries), so a full rewrite per transition is
+// (run slots + kMaxParked entries), so a full rewrite per transition is
 // cheap and keeps the format trivially recoverable.
 #pragma once
 

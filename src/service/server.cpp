@@ -18,6 +18,7 @@
 #include "ingest/scenario.hpp"
 #include "metaheur/optimizer.hpp"
 #include "netlist/library.hpp"
+#include "numeric/parallel.hpp"
 
 namespace afp::service {
 
@@ -50,7 +51,8 @@ bool send_all(int fd, const char* p, std::size_t n) {
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
-      admission_(cfg_.admission),
+      admission_(cfg_.admission,
+                 static_cast<std::size_t>(num::num_threads())),
       journal_(cfg_.journal_path) {}
 
 Server::~Server() {
@@ -129,7 +131,6 @@ void Server::start() {
   sopts.cancel = &drain_token_;
   sopts.on_progress = [this](const core::JobProgress& p) { on_progress(p); };
   service_ = std::make_unique<core::JobService>(std::move(sopts));
-  completer_ = std::thread([this] { completer_loop(); });
   pump_ = std::thread([this] { pump_loop(); });
   logf("listening on %s",
        cfg_.unix_path.empty()
@@ -710,10 +711,9 @@ void Server::handle_submit(const std::shared_ptr<Session>& s,
 }
 
 void Server::launch_locked(JobRecord& rec) {
-  rec.handle = service_->submit(rec.spec);
-  svc_to_job_[rec.handle.id] = rec.job;
+  if (!service_) return;
+  rec.handle = service_->submit(std::move(rec.spec), rec.job);
   rec.running = true;
-  if (rec.cancel_requested) rec.handle.cancel.cancel();
   if (rec.pending_deadline_s > 0.0) {
     rec.handle.cancel.set_deadline_after(rec.pending_deadline_s);
   }
@@ -740,93 +740,46 @@ void Server::finish_unrun(std::uint64_t job, JobRecord rec,
   rep.error = {core::JobErrorKind::kCancelled, message, job, -1};
   rep.optimizer = rec.spec.config.optimizer;
   rep.search = rec.spec.config.search;
-  // Write before releasing the admission slot / notifying: the callers
-  // already removed the job from jobs_, and drain closes sockets once
-  // jobs_ is empty — the terminal frame must not race that shutdown.
-  if (sess) write_frame(sess, result_json(job, rep));
+  finish(job, rep, sess);
+}
+
+void Server::finish(std::uint64_t job, const core::JobReport& report,
+                    const std::shared_ptr<Session>& sess) {
+  // The result frame goes out BEFORE the job leaves jobs_: drain waits on
+  // jobs_ becoming empty and then closes the session sockets, so writing
+  // after the erase would race the shutdown and could lose the report.
+  write_frame(sess, result_json(job, report));
+  // The terminal frame is queued (a crash now loses at most the frame,
+  // which the client detects as EOF) — the journal's job is done.
   journal_.remove(job);
   const auto launched = admission_.release(job);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs_.erase(job);
+  }
   jobs_cv_.notify_all();
   launch_all(launched);
 }
 
 void Server::on_progress(const core::JobProgress& p) {
-  std::uint64_t job = 0;
+  const std::uint64_t job = p.id;
   std::shared_ptr<Session> sess;
-  bool terminal = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = svc_to_job_.find(p.id);
-    if (it == svc_to_job_.end()) return;
-    job = it->second;
     auto jt = jobs_.find(job);
-    if (jt != jobs_.end()) {
-      auto st = sessions_.find(jt->second.session);
-      if (st != sessions_.end()) sess = st->second;
-    }
-    terminal = p.status != core::JobStatus::kRunning &&
-               p.status != core::JobStatus::kQueued;
-    if (terminal) done_svc_.push_back(p.id);
+    if (jt == jobs_.end()) return;
+    auto st = sessions_.find(jt->second.session);
+    if (st != sessions_.end()) sess = st->second;
   }
-  if (terminal) done_cv_.notify_one();
   // Streamed per session; the queue serializes on the session's write
   // mutex, so progress frames never interleave with results — and under
   // backpressure they are the frames that give way.
   write_progress(sess, job, p);
-}
-
-void Server::completer_loop() {
-  for (;;) {
-    std::uint64_t svc = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock,
-                    [this] { return completer_stop_ || !done_svc_.empty(); });
-      if (done_svc_.empty() && completer_stop_) return;
-      svc = done_svc_.front();
-      done_svc_.pop_front();
-    }
-    std::uint64_t job = 0;
-    core::JobService::Handle handle;
-    std::shared_ptr<Session> sess;
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = svc_to_job_.find(svc);
-      if (it != svc_to_job_.end()) {
-        job = it->second;
-        auto jt = jobs_.find(job);
-        if (jt != jobs_.end()) {
-          handle = jt->second.handle;
-          auto st = sessions_.find(jt->second.session);
-          if (st != sessions_.end()) sess = st->second;
-          found = true;
-        }
-      }
-    }
-    if (!found) continue;
-    // The terminal progress event fires just before run_job returns, so
-    // this get() resolves promptly; it must NOT hold mu_ (the worker's
-    // progress callbacks need it to make progress).
-    const core::JobReport report = handle.report.get();
-    // The result frame goes out BEFORE the job leaves jobs_: drain waits on
-    // jobs_ becoming empty and then closes the session sockets, so writing
-    // after the erase would race the shutdown and could lose the report.
-    write_frame(sess, result_json(job, report));
-    // The terminal frame is queued (a crash now loses at most the frame,
-    // which the client detects as EOF) — the journal's job is done.
-    journal_.remove(job);
-    const auto launched = admission_.release(job);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      svc_to_job_.erase(svc);
-      jobs_.erase(job);
-    }
-    jobs_cv_.notify_all();
-    launch_all(launched);
-    logf("job %llu: %s", static_cast<unsigned long long>(job),
-         core::to_string(report.status));
-  }
+  if (p.report == nullptr) return;
+  // Terminal: the worker that ran the job hands it off.
+  finish(job, *p.report, sess);
+  logf("job %llu: %s", static_cast<unsigned long long>(job),
+       core::to_string(p.status));
 }
 
 void Server::drain() {
@@ -872,7 +825,7 @@ void Server::drain() {
     }
   }
   // Phase 3: close the sessions (results are already flushed) and join
-  // their readers, then stop the completer and the service.
+  // their readers, then stop the pump and the service.
   std::vector<std::shared_ptr<Session>> open;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -893,17 +846,22 @@ void Server::drain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     dead.swap(dead_sessions_);
-    completer_stop_ = true;
   }
   for (auto& s : dead) {
     if (s->reader.joinable()) s->reader.join();
   }
-  done_cv_.notify_all();
-  if (completer_.joinable()) completer_.join();
   pump_stop_.store(true);
   pump_wake();
   if (pump_.joinable()) pump_.join();
-  service_.reset();  // joins the workers after the queue drains
+  // A worker finishing a job launches parked ones under mu_; taking the
+  // service out under mu_ means none lands in a service being torn down
+  // (parked jobs are left only when phase 2 timed out).
+  std::unique_ptr<core::JobService> service;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    service.swap(service_);
+  }
+  service.reset();  // joins the workers after the queue drains
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -18,12 +18,12 @@
 //                         cfg.write_deadline_s is disconnected, its jobs
 //                         cancelled), the keepalive probe (at half the idle
 //                         timeout) and the idle/half-open reap,
-//   * JobService workers — run the jobs; the progress callback routes
-//                         events to the owning session,
-//   * one completer thread — collects terminal jobs, queues the `result`
-//                         frame, releases the admission slot and launches
-//                         parked jobs.  Single-threaded on purpose: result
-//                         delivery and admission hand-off stay ordered.
+//   * JobService workers — one per admission run slot (num::num_threads,
+//                         afpd's --threads); the progress callback routes
+//                         events to the owning session, and on a job's
+//                         terminal event the worker that ran it runs the
+//                         hand-off (finish): result frame, slot release,
+//                         parked launches.
 //
 // Backpressure: a session's outbound queue is bounded
 // (cfg.queue_frames/queue_bytes).  Progress frames are droppable — at the
@@ -41,9 +41,11 @@
 // request as structured internal errors, and counts them in `stats`.
 //
 // Job lifecycle: submit -> admission verdict (run / parked / rejected) ->
-// JobService::submit (immediately or when a slot frees) -> progress frames
-// -> terminal `result` frame.  Cancels map onto the job's CancelToken;
-// client `deadline` requests arm the token mid-run (the watchdog path).
+// JobService::submit under the afpd job id (immediately or when a slot
+// frees) -> progress frames -> terminal progress frame, then the `result`
+// frame.  Job ids count from 0, and a seed-less job runs under
+// job_seed(base_seed, id).  Cancels map onto the job's CancelToken; client
+// `deadline` requests arm the token mid-run (the watchdog path).
 //
 // Drain (SIGTERM or request_drain()): stop accepting sessions, reject new
 // submits ("draining"), let in-flight and parked jobs finish for
@@ -86,26 +88,27 @@ struct ServerConfig {
   double drain_grace_s = 5.0;     ///< drain: finish window before cancelling
   bool log = false;               ///< one stderr line per lifecycle event
   /// A session whose outbound queue makes no forward progress for this long
-  /// is disconnected and its jobs cancelled (AFPD_WRITE_DEADLINE; <= 0
-  /// disables — a stalled client can then wedge only its own session's
-  /// memory, bounded by queue_frames, never a server thread).
+  /// is disconnected and its jobs cancelled (<= 0 disables — a stalled
+  /// client can then wedge only its own session's memory, bounded by
+  /// queue_frames, never a server thread).
   double write_deadline_s = 10.0;
   /// A session with no inbound traffic for this long is reaped as idle /
-  /// half-open (AFPD_IDLE_TIMEOUT; <= 0 disables).  A keepalive probe goes
-  /// out at half this; a live-but-quiet client answers it (the Client class
-  /// does so automatically) and is never reaped.
+  /// half-open (<= 0 disables).  A keepalive probe goes out at half this; a
+  /// live-but-quiet client answers it (the Client class does so
+  /// automatically) and is never reaped.
   double idle_timeout_s = 300.0;
-  /// Outbound queue bounds per session (AFPD_QUEUE_FRAMES).  Progress
-  /// frames beyond either bound are dropped and counted; result/error
-  /// frames always queue.
+  /// Outbound queue bounds per session.  Progress frames beyond either
+  /// bound are dropped and counted; result/error frames always queue.
   std::size_t queue_frames = 256;
   std::size_t queue_bytes = 1u << 20;
-  /// Crash-recovery journal path (AFPD_JOURNAL; "" disables).
+  /// Crash-recovery journal path ("" disables).
   std::string journal_path;
 };
 
 class Server {
  public:
+  /// Admission gets num::num_threads() run slots, the count start()'s
+  /// JobService sizes its workers by: set the pool size first.
   explicit Server(ServerConfig cfg);
   ~Server();
   Server(const Server&) = delete;
@@ -174,9 +177,8 @@ class Server {
     std::uint64_t job = 0;
     std::uint64_t session = 0;
     bool running = false;           ///< false: parked, spec not yet submitted
-    bool cancel_requested = false;  ///< parked-phase cancel
     double pending_deadline_s = 0;  ///< parked-phase deadline request
-    core::JobSpec spec;
+    core::JobSpec spec;             ///< moved into the service at launch
     core::JobService::Handle handle;  ///< valid when running
   };
 
@@ -188,7 +190,8 @@ class Server {
   bool handle_request(const std::shared_ptr<Session>& s,
                       const std::string& payload);
   void handle_submit(const std::shared_ptr<Session>& s, SubmitRequest req);
-  /// Submits a record's spec to the JobService; mu_ must be held.
+  /// Submits a record's spec to the JobService as its job id; mu_ must be
+  /// held.  A no-op once drain() has taken the service down.
   void launch_locked(JobRecord& rec);
   /// Launches every job admission just released (ids from release()).
   void launch_all(const std::vector<std::uint64_t>& jobs);
@@ -196,7 +199,13 @@ class Server {
   void finish_unrun(std::uint64_t job, JobRecord rec,
                     const std::string& message,
                     const std::shared_ptr<Session>& sess);
-  void completer_loop();
+  /// Every job's terminal hand-off: queues the result frame, then drops
+  /// the journal entry, frees the slot, forgets the record and launches
+  /// the parked jobs that frees.
+  void finish(std::uint64_t job, const core::JobReport& report,
+              const std::shared_ptr<Session>& sess);
+  /// Routes a progress frame to the job's session; the terminal event
+  /// also runs finish().
   void on_progress(const core::JobProgress& p);
   /// Queues a non-droppable frame (result/error/ack/...) and flushes
   /// opportunistically; never drops, never blocks.
@@ -229,14 +238,8 @@ class Server {
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::vector<std::shared_ptr<Session>> dead_sessions_;
   std::map<std::uint64_t, JobRecord> jobs_;
-  std::map<std::uint64_t, std::uint64_t> svc_to_job_;
   std::uint64_t next_session_ = 1;
-  std::uint64_t next_job_ = 1;
-
-  std::deque<std::uint64_t> done_svc_;  ///< terminal service ids, FIFO
-  std::condition_variable done_cv_;
-  bool completer_stop_ = false;
-  std::thread completer_;
+  std::uint64_t next_job_ = 0;
 
   std::thread pump_;
   std::atomic<bool> pump_stop_{false};

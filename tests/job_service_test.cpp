@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -116,6 +117,46 @@ TEST(JobService, SubmitFuturesMatchRunBatch) {
     EXPECT_EQ(report.id, i);
     expect_identical(report, direct[i], "submit-vs-batch job " + report.name);
   }
+}
+
+TEST(JobService, TerminalProgressCarriesTheReport) {
+  // The terminal event hands out the finished report (afpd writes its
+  // result frame from it); every kRunning event carries null.  A job
+  // submitted under an explicit id runs as that job.
+  JobSpec spec;
+  spec.name = "terminal";
+  spec.netlist = netlist::make_ota_small();
+  spec.config = quick_config();
+  std::mutex mu;
+  int running = 0, running_with_report = 0, terminal = 0;
+  std::string terminal_json;
+  JobServiceOptions opts;
+  opts.base_seed = 77;
+  opts.on_progress = [&](const JobProgress& p) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (p.status == JobStatus::kRunning) {
+      ++running;
+      if (p.report != nullptr) ++running_with_report;
+      return;
+    }
+    ++terminal;
+    if (p.report != nullptr) terminal_json = job_report_json(*p.report);
+  };
+  JobReport served;
+  {
+    JobService service(opts);
+    served = service.submit(spec, 7).report.get();
+  }
+  ASSERT_EQ(served.status, JobStatus::kDone) << served.error.message;
+  EXPECT_EQ(running, 1);
+  EXPECT_EQ(running_with_report, 0);
+  EXPECT_EQ(terminal, 1);
+  EXPECT_EQ(terminal_json, job_report_json(served));
+  EXPECT_EQ(served.id, 7u);
+  EXPECT_EQ(served.seed, JobService::job_seed(77, 7));
+  expect_identical(
+      JobService::run_job(spec, 7, JobService::job_seed(77, 7), nullptr, {}),
+      served, "id 7");
 }
 
 TEST(JobService, PreCancelledJobReportsCancelled) {

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -23,6 +24,7 @@
 #include "core/report.hpp"
 #include "ingest/scenario.hpp"
 #include "netlist/library.hpp"
+#include "numeric/parallel.hpp"
 #include "service/admission.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
@@ -186,9 +188,8 @@ TEST(Frames, ResultReportSliceIsVerbatim) {
 
 TEST(Admission, InflightCapParksAndQuotaRejects) {
   AdmissionConfig cfg;
-  cfg.max_inflight = 2;
   cfg.per_session = 3;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 2);
   ASSERT_TRUE(q.open_session(1));
   std::string why;
   EXPECT_EQ(q.admit(1, 10, 0, &why), AdmissionQueue::Verdict::kRun);
@@ -202,9 +203,8 @@ TEST(Admission, InflightCapParksAndQuotaRejects) {
 
 TEST(Admission, ReleaseLaunchesByPriorityThenArrival) {
   AdmissionConfig cfg;
-  cfg.max_inflight = 1;
   cfg.per_session = 16;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 1);
   ASSERT_TRUE(q.open_session(1));
   std::string why;
   EXPECT_EQ(q.admit(1, 1, 0, &why), AdmissionQueue::Verdict::kRun);
@@ -221,8 +221,7 @@ TEST(Admission, ReleaseLaunchesByPriorityThenArrival) {
 
 TEST(Admission, CancellingAParkedJobFreesItsSlotWithoutLaunching) {
   AdmissionConfig cfg;
-  cfg.max_inflight = 1;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 1);
   ASSERT_TRUE(q.open_session(1));
   std::string why;
   EXPECT_EQ(q.admit(1, 1, 0, &why), AdmissionQueue::Verdict::kRun);
@@ -235,8 +234,7 @@ TEST(Admission, CancellingAParkedJobFreesItsSlotWithoutLaunching) {
 TEST(Admission, SessionLimitAndCloseDropParkedJobs) {
   AdmissionConfig cfg;
   cfg.max_sessions = 1;
-  cfg.max_inflight = 1;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 1);
   ASSERT_TRUE(q.open_session(1));
   EXPECT_FALSE(q.open_session(2));
   std::string why;
@@ -252,7 +250,7 @@ TEST(Admission, SessionLimitAndCloseDropParkedJobs) {
 TEST(Admission, StrikesAccumulateAndEjectAtTheLimit) {
   AdmissionConfig cfg;
   cfg.strike_limit = 3;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 2);
   ASSERT_TRUE(q.open_session(1));
   EXPECT_FALSE(q.record_strike(1));
   EXPECT_FALSE(q.record_strike(1));
@@ -264,7 +262,7 @@ TEST(Admission, StrikesAccumulateAndEjectAtTheLimit) {
   // strike_limit 0 disables the limit entirely.
   AdmissionConfig off;
   off.strike_limit = 0;
-  AdmissionQueue q2(off);
+  AdmissionQueue q2(off, 2);
   ASSERT_TRUE(q2.open_session(1));
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(q2.record_strike(1));
   EXPECT_EQ(q2.total_strike_ejections(), 0u);
@@ -272,8 +270,7 @@ TEST(Admission, StrikesAccumulateAndEjectAtTheLimit) {
 
 TEST(Admission, DrainRejectsNewAdmitsButParkedStillLaunch) {
   AdmissionConfig cfg;
-  cfg.max_inflight = 1;
-  AdmissionQueue q(cfg);
+  AdmissionQueue q(cfg, 1);
   ASSERT_TRUE(q.open_session(1));
   std::string why;
   EXPECT_EQ(q.admit(1, 1, 0, &why), AdmissionQueue::Verdict::kRun);
@@ -334,11 +331,19 @@ class ServiceE2E : public ::testing::Test {
   }
   void TearDown() override {
     stop_server();
+    if (saved_threads_ > 0) num::set_num_threads(saved_threads_);
     std::error_code ec;
     std::filesystem::remove_all(dir_, ec);
   }
 
   std::string sock() const { return dir_ + "/afpd.sock"; }
+
+  /// Pins the numeric pool — and so the next server's run slots, one per
+  /// JobService worker — to `n` threads; TearDown restores the old size.
+  void pin_threads(int n) {
+    if (saved_threads_ == 0) saved_threads_ = num::num_threads();
+    num::set_num_threads(n);
+  }
 
   void start_server(AdmissionConfig adm, double drain_grace_s = 0.2) {
     service::ServerConfig cfg;
@@ -380,6 +385,7 @@ class ServiceE2E : public ::testing::Test {
   std::string dir_;
   std::optional<service::Server> server_;
   std::thread serve_thread_;
+  int saved_threads_ = 0;
 };
 
 TEST_F(ServiceE2E, ServedReportIsBitwiseIdenticalToRunJob) {
@@ -460,11 +466,21 @@ TEST_F(ServiceE2E, SeedlessSubmitsDeriveDistinctSeeds) {
   EXPECT_NE(ra.seed, 0u);
   EXPECT_NE(rb.seed, 0u);
   EXPECT_NE(ra.seed, rb.seed);
+  // Each derives from the job id its accepted frame carried.  The report
+  // bytes hold the exact 64-bit seed (the client reads JSON numbers as
+  // doubles, which round it).
+  const std::uint64_t base = service::ServerConfig{}.base_seed;
+  for (const auto& [acc, res] : {std::pair{a, ra}, std::pair{b, rb}}) {
+    const std::string seed =
+        "\"seed\": " +
+        std::to_string(core::JobService::job_seed(base, acc.job)) + ",";
+    EXPECT_NE(res.report_raw.find(seed), std::string::npos)
+        << "job " << acc.job << " wants " << seed;
+  }
 }
 
 TEST_F(ServiceE2E, ConcurrentSessionsGetIdenticalBytesPerSeed) {
   AdmissionConfig adm;
-  adm.max_inflight = 4;
   adm.per_session = 8;
   start_server(adm);
   constexpr int kClients = 4;
@@ -492,9 +508,8 @@ TEST_F(ServiceE2E, ConcurrentSessionsGetIdenticalBytesPerSeed) {
 }
 
 TEST_F(ServiceE2E, CancelBeforeLaunchYieldsCancelledResult) {
-  AdmissionConfig adm;
-  adm.max_inflight = 1;
-  start_server(adm);
+  pin_threads(1);
+  start_server({});
   Client client = connect();
   const auto running = client.submit("ota_small", 1, 0, config_json(1 << 28));
   const auto parked = client.submit("ota_small", 2, 0, config_json(40));
@@ -644,8 +659,8 @@ TEST_F(ServiceE2E, MidFrameDisconnectLeavesTheServerServing) {
 }
 
 TEST_F(ServiceE2E, PerSessionQuotaRejectsWithResourceExhausted) {
+  pin_threads(1);
   AdmissionConfig adm;
-  adm.max_inflight = 1;
   adm.per_session = 2;
   start_server(adm);
   Client client = connect();
@@ -665,9 +680,8 @@ TEST_F(ServiceE2E, PerSessionQuotaRejectsWithResourceExhausted) {
 }
 
 TEST_F(ServiceE2E, HigherPriorityParkedJobsLaunchFirst) {
-  AdmissionConfig adm;
-  adm.max_inflight = 1;
-  start_server(adm);
+  pin_threads(1);
+  start_server({});
   Client client = connect();
   const auto head = client.submit("ota_small", 1, 0, config_json(1 << 28));
   const auto low = client.submit("ota_small", 2, 0, config_json(40));
@@ -690,6 +704,33 @@ TEST_F(ServiceE2E, HigherPriorityParkedJobsLaunchFirst) {
   ASSERT_NE(first_high, ~std::size_t{0});
   ASSERT_NE(first_low, ~std::size_t{0});
   EXPECT_LT(first_high, first_low);
+}
+
+TEST_F(ServiceE2E, AdmissionSlotsFollowTheWorkerCount) {
+  // One run slot per JobService worker: as many long jobs as the pool has
+  // threads are acked as running, and the next one parks in admission's
+  // priority queue instead of waiting unseen behind a busy worker.
+  for (const int threads : {1, 3}) {
+    pin_threads(threads);
+    start_server({});
+    Client client = connect();
+    std::vector<std::uint64_t> running;
+    for (int j = 0; j < threads; ++j) {
+      const auto acc =
+          client.submit("ota_small", 50 + j, 0, config_json(1 << 28));
+      EXPECT_FALSE(acc.queued) << threads << " threads, job " << j;
+      running.push_back(acc.job);
+    }
+    const auto extra = client.submit("ota_small", 60, 0, config_json(40));
+    EXPECT_TRUE(extra.queued) << threads << " threads";
+    const auto st = server_->stats_snapshot();
+    EXPECT_EQ(st.inflight, static_cast<std::uint64_t>(threads));
+    EXPECT_EQ(st.parked, 1u) << threads << " threads";
+    for (const std::uint64_t job : running) client.cancel(job);
+    for (const std::uint64_t job : running) (void)client.await_result(job);
+    EXPECT_EQ(client.await_result(extra.job).status, "done");
+    stop_server();
+  }
 }
 
 TEST_F(ServiceE2E, SessionLimitRejectsTheExtraClient) {
@@ -919,12 +960,10 @@ TEST_F(ServiceE2E, JournalReplayAfterSimulatedCrashSurfacesOrphans) {
 }
 
 TEST_F(ServiceE2E, InjectedFaultsDoNotPerturbOtherSessionsJobs) {
-  // Service job ids are assigned in submission order from 0, so the clause
-  // targets exactly the first submitted job.
+  // afpd job ids count from 0 in submission order and are the fault site,
+  // so the clause targets exactly the first submitted job.
   core::FaultInjector::global().configure("throw@0:0");
-  AdmissionConfig adm;
-  adm.max_inflight = 1;
-  start_server(adm);
+  start_server({});
   Client faulted = connect();
   Client clean = connect();
   const auto fa = faulted.submit("ota_small", 21, 0, config_json(60));
@@ -932,7 +971,7 @@ TEST_F(ServiceE2E, InjectedFaultsDoNotPerturbOtherSessionsJobs) {
   EXPECT_EQ(fr.status, "failed");
   EXPECT_EQ(fr.error_kind, "optimizer_failure");
   EXPECT_EQ(fr.report_raw, "null");
-  // The neighbouring session's job (service id 1) runs clean and stays
+  // The neighbouring session's job (job id 1) runs clean and stays
   // bitwise identical to an uninjected run_job of the same spec.
   const auto ca = clean.submit("ota_small", 22, 0, config_json(60));
   const auto cr = clean.await_result(ca.job);

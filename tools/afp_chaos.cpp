@@ -331,8 +331,8 @@ int run_kill_test(const Args& args) {
       std::fprintf(stderr, "afp_chaos: FAIL: post-restart job failed\n");
       rc = 1;
     }
-    // The journal entry is removed just AFTER the result frame is sent;
-    // give the completer a moment before requiring an empty journal.
+    // The journal entry is removed just AFTER the result frame is queued;
+    // give the job's worker a moment before requiring an empty journal.
     bool journal_empty = false;
     for (int tries = 0; tries < 100 && !journal_empty; ++tries) {
       const JsonValue st = client.stats();
