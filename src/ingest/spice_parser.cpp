@@ -496,13 +496,17 @@ struct Elab {
     }
     d.width_um = to_um(param_or(kv, "w", 1.0, scope, s.line));
     d.length_um = to_um(param_or(kv, "l", 0.18, scope, s.line));
-    d.fingers = static_cast<int>(param_or(kv, "nf", 1.0, scope, s.line));
+    const double nf = param_or(kv, "nf", 1.0, scope, s.line);
     const double mult = param_or(kv, "m", 1.0, scope, s.line);
     d.width_um *= std::max(1.0, mult);
-    if (d.width_um <= 0.0 || d.length_um <= 0.0 || d.fingers < 1) {
+    // NF is checked before its cast to int, which is undefined for NaN,
+    // infinities and values outside int's range.
+    if (d.width_um <= 0.0 || d.length_um <= 0.0 ||
+        !(nf >= 1.0 && nf < 2147483648.0)) {
       throw ParseError(deck.file, s.line,
                        "bad W/L/NF on '" + s.tokens[0] + "'");
     }
+    d.fingers = static_cast<int>(nf);
     add(std::move(d), s.line);
   }
 

@@ -31,6 +31,15 @@ std::optional<double> parse_kv(const std::string& tok, const std::string& key) {
   return std::stod(tok.substr(key.size() + 1));
 }
 
+/// NF= as a finger count.  The value is checked before its cast to int,
+/// which is undefined for NaN, infinities and values outside int's range.
+int finger_count(double nf, const std::string& line) {
+  if (!(nf >= 1.0 && nf < 2147483648.0)) {
+    throw std::runtime_error("bad NF in: " + line);
+  }
+  return static_cast<int>(nf);
+}
+
 }  // namespace
 
 std::string to_string(DeviceType t) {
@@ -185,7 +194,7 @@ Netlist Netlist::from_spice(const std::string& text) {
         if (auto w = parse_kv(toks[i], "W")) d.width_um = *w;
         else if (auto l = parse_kv(toks[i], "L")) d.length_um = *l;
         else if (auto nf = parse_kv(toks[i], "NF"))
-          d.fingers = static_cast<int>(*nf);
+          d.fingers = finger_count(*nf, line);
       }
     } else if (kind == 'R' || kind == 'C') {
       if (toks.size() < 4)

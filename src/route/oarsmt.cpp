@@ -1,13 +1,17 @@
 #include "route/oarsmt.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace afp::route {
 
@@ -44,6 +48,77 @@ geom::Point block_pin_for_net(const geom::Rect& rect, int routing_direction,
 }
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kNoVertex = std::numeric_limits<std::uint32_t>::max();
+/// Both passes accept a relaxation only when it improves a distance by more
+/// than this.  The path pass's tie-breaking rests on it: route_test's
+/// unbounded oracle applies the same rule and must return the same trees.
+constexpr double kRelaxEps = 1e-12;
+/// Slack of the path pass's bound over the A* distance D*.  Rounding in a
+/// path sum or a Manhattan bound is a few ulps of a coordinate (~1e-12 um
+/// per step), so no vertex of a shortest path sits within the slack of the
+/// bound, and no vertex that does can improve one that is on the path.
+constexpr double kBoundSlack = 1e-6;
+
+/// Search state for one global_route call, shared by every net and by both
+/// passes of every Steiner round: a distance and a predecessor per
+/// escape-graph vertex, valid only where the vertex's stamp is the current
+/// epoch, so a new search starts in O(1) instead of O(vertices).
+class RouteScratch {
+ public:
+  /// Makes room for `nv` vertices.  The old slots are freed before the
+  /// larger array is allocated, so growing never holds both.
+  void fit(std::size_t nv) {
+    if (nv <= slots_.size()) return;
+    if (nv >= kNoVertex) {
+      throw std::length_error("route: escape graph exceeds 32-bit vertex ids");
+    }
+    slots_.clear();
+    slots_.shrink_to_fit();
+    slots_.resize(nv);
+    epoch_ = 0;
+  }
+
+  /// Starts a search: every vertex reads as unreached.
+  void restart() {
+    if (++epoch_ == 0) {
+      for (Slot& slot : slots_) slot.stamp = 0;
+      epoch_ = 1;
+    }
+  }
+
+  bool reached(std::size_t v) const { return slots_[v].stamp == epoch_; }
+  double dist(std::size_t v) const {
+    return reached(v) ? slots_[v].dist : kInf;
+  }
+  std::uint32_t prev(std::size_t v) const { return slots_[v].prev; }
+  void reach(std::size_t v, double d, std::uint32_t from) {
+    slots_[v] = {d, from, epoch_};
+  }
+
+ private:
+  /// One vertex's state, kept together so a relaxation touches one cache
+  /// line; a value-initialized slot (stamp 0) reads as unreached.
+  struct Slot {
+    double dist;
+    std::uint32_t prev;
+    std::uint32_t stamp;
+  };
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 0;
+};
+
+/// The terminals a Steiner round may still attach: vertex ids, sorted for
+/// the settle test, and their points for the Manhattan lower bound.
+struct Targets {
+  std::vector<std::size_t> ids;
+  std::vector<geom::Point> points;
+
+  bool contains(std::size_t v) const {
+    return std::binary_search(ids.begin(), ids.end(), v);
+  }
+};
 
 /// Escape-graph router over the Hanan grid of terminals + obstacle edges.
 class EscapeGraph {
@@ -90,14 +165,9 @@ class EscapeGraph {
       mark_covered(xmid_, ys_, o, nx_ - 1, hblocked_);
       mark_covered(xs_, ymid_, o, nx_, vblocked_);
     }
-    const std::size_t nv = blocked_.size();
-    dist_.assign(nv, std::numeric_limits<double>::infinity());
-    prev_.assign(nv, nv);
-    stamp_.assign(nv, 0);
   }
 
-  int nx() const { return nx_; }
-  int ny() const { return ny_; }
+  std::size_t num_vertices() const { return blocked_.size(); }
   std::size_t id(int i, int j) const {
     return static_cast<std::size_t>(j) * nx_ + i;
   }
@@ -117,59 +187,92 @@ class EscapeGraph {
     return id(i, j);
   }
 
-  /// Multi-source Dijkstra from `sources` until any vertex of `targets`
-  /// is settled.  Returns the path (vertex ids) or empty when unreachable.
-  /// Scratch arrays are epoch-stamped so consecutive rounds of the Steiner
-  /// construction skip the O(vertices) reset.
-  std::vector<std::size_t> shortest_path(
-      const std::vector<std::size_t>& sources,
-      const std::set<std::size_t>& targets) const {
-    const std::size_t nv = blocked_.size();
-    ++epoch_;
-    const double inf = std::numeric_limits<double>::infinity();
-    auto dist_of = [&](std::size_t v) {
-      return stamp_[v] == epoch_ ? dist_[v] : inf;
+  /// Pass 1 of a Steiner round: the length D* of a shortest path from
+  /// `sources` to the nearest target, or infinity when none is reachable.
+  /// A* under h = Manhattan distance to the nearest target, which no
+  /// obstacle can shorten and which changes by at most an edge's length
+  /// along it, so the first target settled is a nearest one.  Equal f go
+  /// to the larger g, then the smaller id.  `pops` counts heap pops.
+  double nearest_target_distance(const std::vector<std::size_t>& sources,
+                                 const Targets& targets, RouteScratch& s,
+                                 std::uint64_t& pops) const {
+    struct Entry {
+      double f, g;
+      std::size_t v;
     };
+    auto after = [](const Entry& a, const Entry& b) {
+      if (a.f != b.f) return a.f > b.f;
+      if (a.g != b.g) return a.g < b.g;
+      return a.v > b.v;
+    };
+    std::priority_queue<Entry, std::vector<Entry>, decltype(after)> open(
+        after);
+    s.restart();
+    for (std::size_t src : sources) {
+      if (blocked_[src] || s.reached(src)) continue;
+      s.reach(src, 0.0, kNoVertex);
+      open.push({manhattan_to(targets, src), 0.0, src});
+    }
+    while (!open.empty()) {
+      const Entry e = open.top();
+      open.pop();
+      ++pops;
+      if (e.g > s.dist(e.v)) continue;
+      if (targets.contains(e.v)) return e.g;
+      expand(e.v, [&](std::size_t u, int i, int j, double w) {
+        const double g = e.g + w;
+        if (g < s.dist(u) - kRelaxEps) {
+          s.reach(u, g, kNoVertex);
+          open.push({g + manhattan_to(targets, i, j), g, u});
+        }
+      });
+    }
+    return kInf;
+  }
+
+  /// Pass 2: the multi-source Dijkstra, in (dist, id) order, that picks
+  /// the path to the first target settled.  It skips every relaxation
+  /// whose lower bound g + w + h(u) exceeds `bound` (D* plus a slack).
+  /// Along a shortest path g + h never decreases and ends at D*, so every
+  /// vertex that can set a path vertex's distance or predecessor passes
+  /// the bound, and the path is the one the unbounded search returns.
+  /// Returns the path (vertex ids) or empty when no target is settled.
+  std::vector<std::size_t> shortest_path(
+      const std::vector<std::size_t>& sources, const Targets& targets,
+      double bound, RouteScratch& s, std::uint64_t& pops) const {
     using QE = std::pair<double, std::size_t>;
     std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-    for (std::size_t s : sources) {
-      if (blocked_[s]) continue;
-      stamp_[s] = epoch_;
-      dist_[s] = 0.0;
-      prev_[s] = nv;
-      pq.emplace(0.0, s);
+    s.restart();
+    for (std::size_t src : sources) {
+      if (blocked_[src] || s.reached(src) ||
+          manhattan_to(targets, src) > bound) {
+        continue;
+      }
+      s.reach(src, 0.0, kNoVertex);
+      pq.emplace(0.0, src);
     }
-    std::size_t goal = nv;
+    std::size_t goal = num_vertices();
     while (!pq.empty()) {
       const auto [d, v] = pq.top();
       pq.pop();
-      if (d > dist_of(v)) continue;
-      if (targets.count(v)) {
+      ++pops;
+      if (d > s.dist(v)) continue;
+      if (targets.contains(v)) {
         goal = v;
         break;
       }
-      const int i = static_cast<int>(v % static_cast<std::size_t>(nx_));
-      const int j = static_cast<int>(v / static_cast<std::size_t>(nx_));
-      const std::array<std::pair<int, int>, 4> nbrs{
-          {{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}}};
-      for (const auto& [ni, nj] : nbrs) {
-        if (ni < 0 || ni >= nx_ || nj < 0 || nj >= ny_) continue;
-        const std::size_t u = id(ni, nj);
-        if (blocked_[u] || edge_blocked(i, j, ni, nj)) continue;
-        const double w =
-            std::abs(xs_[static_cast<std::size_t>(ni)] - xs_[static_cast<std::size_t>(i)]) +
-            std::abs(ys_[static_cast<std::size_t>(nj)] - ys_[static_cast<std::size_t>(j)]);
-        if (dist_[v] + w < dist_of(u) - 1e-12) {
-          stamp_[u] = epoch_;
-          dist_[u] = dist_[v] + w;
-          prev_[u] = v;
-          pq.emplace(dist_[u], u);
+      expand(v, [&](std::size_t u, int i, int j, double w) {
+        const double g = d + w;
+        if (g < s.dist(u) - kRelaxEps &&
+            g + manhattan_to(targets, i, j) <= bound) {
+          s.reach(u, g, static_cast<std::uint32_t>(v));
+          pq.emplace(g, u);
         }
-      }
+      });
     }
     std::vector<std::size_t> path;
-    if (goal == nv) return path;
-    for (std::size_t v = goal; v != nv; v = prev_[v]) path.push_back(v);
+    if (goal == num_vertices()) return path;
+    for (std::size_t v = goal; v != kNoVertex; v = s.prev(v)) path.push_back(v);
     std::reverse(path.begin(), path.end());
     return path;
   }
@@ -193,23 +296,51 @@ class EscapeGraph {
         std::lower_bound(ycoords.begin(), ycoords.end(), o.top()) -
         ycoords.begin();
     for (auto j = iy0; j < iy1; ++j) {
-      for (auto i = ix0; i < ix1; ++i) {
-        grid[static_cast<std::size_t>(j) * stride + static_cast<std::size_t>(i)] =
-            true;
-      }
+      const auto row = grid.begin() + j * stride;
+      std::fill(row + ix0, row + ix1, true);
     }
   }
 
-  /// Mid-point occlusion, looked up in the precomputed edge bitmaps (the
-  /// midpoint of two adjacent grid lines is exact, so this matches the old
-  /// per-query obstacle scan bit for bit).
-  bool edge_blocked(int i0, int j0, int i1, int j1) const {
-    if (j0 == j1) {
-      return hblocked_[static_cast<std::size_t>(j0) * (nx_ - 1) +
-                       static_cast<std::size_t>(std::min(i0, i1))];
+  /// Manhattan distance from grid point (i, j) to the nearest target: a
+  /// lower bound on any obstacle-avoiding path to one.
+  double manhattan_to(const Targets& targets, int i, int j) const {
+    const double x = xs_[static_cast<std::size_t>(i)];
+    const double y = ys_[static_cast<std::size_t>(j)];
+    double h = kInf;
+    for (const auto& t : targets.points) {
+      h = std::min(h, std::abs(x - t.x) + std::abs(y - t.y));
     }
-    return vblocked_[static_cast<std::size_t>(std::min(j0, j1)) * nx_ +
-                     static_cast<std::size_t>(i0)];
+    return h;
+  }
+  double manhattan_to(const Targets& targets, std::size_t v) const {
+    return manhattan_to(targets,
+                        static_cast<int>(v % static_cast<std::size_t>(nx_)),
+                        static_cast<int>(v / static_cast<std::size_t>(nx_)));
+  }
+
+  /// Calls visit(u, i, j, w) for each neighbour u = (i, j) of `v` joined
+  /// to it by an unblocked edge of length w (the edge's midpoint lies in
+  /// no obstacle: the midpoint of two adjacent grid lines is exact, so
+  /// the edge bitmaps match a per-query obstacle scan bit for bit).
+  template <class Visit>
+  void expand(std::size_t v, Visit&& visit) const {
+    const std::size_t row = static_cast<std::size_t>(nx_);
+    const int i = static_cast<int>(v % row);
+    const int j = static_cast<int>(v / row);
+    const auto ui = static_cast<std::size_t>(i);
+    const auto uj = static_cast<std::size_t>(j);
+    if (i > 0 && !blocked_[v - 1] && !hblocked_[uj * (row - 1) + ui - 1]) {
+      visit(v - 1, i - 1, j, xs_[ui] - xs_[ui - 1]);
+    }
+    if (i + 1 < nx_ && !blocked_[v + 1] && !hblocked_[uj * (row - 1) + ui]) {
+      visit(v + 1, i + 1, j, xs_[ui + 1] - xs_[ui]);
+    }
+    if (j > 0 && !blocked_[v - row] && !vblocked_[(uj - 1) * row + ui]) {
+      visit(v - row, i, j - 1, ys_[uj] - ys_[uj - 1]);
+    }
+    if (j + 1 < ny_ && !blocked_[v + row] && !vblocked_[uj * row + ui]) {
+      visit(v + row, i, j + 1, ys_[uj + 1] - ys_[uj]);
+    }
   }
 
   std::vector<geom::Rect> obstacles_;
@@ -218,23 +349,20 @@ class EscapeGraph {
   int nx_ = 0, ny_ = 0;
   std::vector<bool> blocked_;            ///< vertex inside an obstacle
   std::vector<bool> hblocked_, vblocked_;  ///< edge midpoint inside one
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::size_t> prev_;
-  mutable std::vector<std::uint32_t> stamp_;
-  mutable std::uint32_t epoch_ = 0;
 };
 
-}  // namespace
-
-SteinerTree route_net(std::span<const geom::Point> terminals,
-                      std::span<const geom::Rect> obstacles,
-                      double clearance) {
+/// route_net over a caller-owned scratch; adds its heap pops to `pops`.
+SteinerTree route_in_scratch(std::span<const geom::Point> terminals,
+                             std::span<const geom::Rect> obstacles,
+                             double clearance, RouteScratch& scratch,
+                             std::uint64_t& pops) {
   SteinerTree tree;
   if (terminals.size() < 2) {
     for (const auto& t : terminals) tree.nodes.push_back(t);
     return tree;
   }
-  EscapeGraph g(terminals, obstacles, clearance);
+  const EscapeGraph g(terminals, obstacles, clearance);
+  scratch.fit(g.num_vertices());
 
   std::vector<std::size_t> term_v;
   term_v.reserve(terminals.size());
@@ -243,11 +371,23 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
   // Grow the tree from the first terminal, attaching the nearest remaining
   // terminal through a shortest obstacle-avoiding path each round.
   std::vector<std::size_t> tree_vertices = {term_v[0]};
-  std::set<std::size_t> remaining(term_v.begin() + 1, term_v.end());
-  remaining.erase(term_v[0]);
+  Targets remaining;
+  remaining.ids.assign(term_v.begin() + 1, term_v.end());
+  std::sort(remaining.ids.begin(), remaining.ids.end());
+  remaining.ids.erase(
+      std::unique(remaining.ids.begin(), remaining.ids.end()),
+      remaining.ids.end());
+  std::erase(remaining.ids, term_v[0]);
   std::vector<std::pair<std::size_t, std::size_t>> vedges;
-  while (!remaining.empty()) {
-    const auto path = g.shortest_path(tree_vertices, remaining);
+  while (!remaining.ids.empty()) {
+    remaining.points.clear();
+    for (std::size_t v : remaining.ids) remaining.points.push_back(g.point(v));
+    const double reach =
+        g.nearest_target_distance(tree_vertices, remaining, scratch, pops);
+    const auto path =
+        reach == kInf ? std::vector<std::size_t>{}
+                      : g.shortest_path(tree_vertices, remaining,
+                                        reach + kBoundSlack, scratch, pops);
     if (path.empty()) {
       throw std::runtime_error("route_net: terminal unreachable");
     }
@@ -255,7 +395,7 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
       vedges.emplace_back(path[k - 1], path[k]);
       tree_vertices.push_back(path[k]);
     }
-    remaining.erase(path.back());
+    std::erase(remaining.ids, path.back());
   }
 
   // Compact vertex ids into tree nodes; merge duplicate edges.
@@ -270,6 +410,7 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
     return static_cast<int>(std::lower_bound(vids.begin(), vids.end(), v) -
                             vids.begin());
   };
+  tree.nodes.reserve(vids.size());
   for (std::size_t v : vids) tree.nodes.push_back(g.point(v));
   std::set<std::pair<int, int>> dedup;
   for (const auto& [a, b] : vedges) {
@@ -279,6 +420,16 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
   }
   tree.edges.assign(dedup.begin(), dedup.end());
   return tree;
+}
+
+}  // namespace
+
+SteinerTree route_net(std::span<const geom::Point> terminals,
+                      std::span<const geom::Rect> obstacles,
+                      double clearance) {
+  RouteScratch scratch;
+  std::uint64_t pops = 0;
+  return route_in_scratch(terminals, obstacles, clearance, scratch, pops);
 }
 
 std::vector<Conduit> to_conduits(const SteinerTree& tree,
@@ -331,6 +482,7 @@ GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs) {
   GlobalRoute gr;
+  RouteScratch scratch;
   // Above this block count the escape graph is clipped to a window around
   // each net's pins (obstacles far outside the pin bounding box cannot
   // improve the route, but their Hanan lines quadratically inflate the
@@ -370,12 +522,14 @@ GlobalRoute global_route(const floorplan::Instance& inst,
     try {
       SteinerTree tree;
       try {
-        tree = route_net(pins, gather_obstacles(windowed));
+        tree = route_in_scratch(pins, gather_obstacles(windowed),
+                                kDefaultClearance, scratch, gr.expanded);
       } catch (const std::runtime_error&) {
         // A pin walled in by window-boundary obstacles may still escape on
         // the full graph; retry once before declaring the net failed.
         if (!windowed) throw;
-        tree = route_net(pins, gather_obstacles(false));
+        tree = route_in_scratch(pins, gather_obstacles(false),
+                                kDefaultClearance, scratch, gr.expanded);
       }
       gr.total_wirelength += tree.length();
       const auto cs = to_conduits(tree, name);
@@ -387,6 +541,17 @@ GlobalRoute global_route(const floorplan::Instance& inst,
     }
     for (int b : net) on_net[static_cast<std::size_t>(b)] = 0;
   }
+  // Routing frees more than any other stage: the scratch, here, and one
+  // escape graph per net.  Once some large block has been freed, glibc
+  // raises its mmap and trim thresholds (up to 32 and 64 MiB) and keeps
+  // freed heap pages resident, so hand them back before layout generation
+  // and DRC build on top of them.  The conduits outlive the call (layout
+  // generation reads them), so they keep no growth slack either.
+  scratch = {};
+  gr.conduits.shrink_to_fit();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   return gr;
 }
 

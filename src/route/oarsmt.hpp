@@ -3,12 +3,26 @@
 //
 // Per net: an escape graph is built from the Hanan coordinates of the
 // terminals plus the (slightly inflated) obstacle boundaries; terminals
-// are connected one at a time via Dijkstra shortest paths over the graph
+// are connected one at a time via shortest paths over the graph
 // (nearest-terminal-first Steiner construction).  The resulting tree is
 // segmented into per-layer conduits that guide detailed routing:
 // horizontal segments on layer 1, vertical on layer 2.
+//
+// Each Steiner round searches twice.  An A* pass (h = Manhattan distance
+// to the nearest remaining terminal, a lower bound no obstacle can beat)
+// finds only the distance D* to the nearest terminal.  The path pass is a
+// multi-source Dijkstra in (distance, vertex id) order that relaxes an
+// edge only when it improves a distance by more than 1e-12 um, and it
+// never reaches a vertex whose lower bound g + h exceeds D* + 1e-6 um.
+// Along a shortest path g + h never decreases, so every vertex that can
+// set a path vertex's distance or predecessor passes that bound: the pass
+// picks the same terminal and the same path, bit for bit, as the
+// unbounded Dijkstra, while popping only vertices that can lie on a
+// shortest path to it (in open space, the box between the tree and the
+// terminal) instead of the whole disk around the tree.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,13 +49,16 @@ struct Conduit {
   std::string net;
 };
 
+/// Obstacle shrink that keeps edges along block boundaries legal.
+inline constexpr double kDefaultClearance = 0.05;
+
 /// Routes one net.  `terminals` are pin locations; `obstacles` are regions
 /// the route must not cross (they are shrunk by `clearance` so edges along
 /// block boundaries remain legal).  Throws std::runtime_error when some
 /// terminal cannot be reached.
 SteinerTree route_net(std::span<const geom::Point> terminals,
                       std::span<const geom::Rect> obstacles,
-                      double clearance = 0.05);
+                      double clearance = kDefaultClearance);
 
 /// Splits a tree into per-layer conduits, merging collinear edges.
 std::vector<Conduit> to_conduits(const SteinerTree& tree,
@@ -64,12 +81,17 @@ struct GlobalRoute {
   std::vector<Conduit> conduits;
   double total_wirelength = 0.0;
   int failed_nets = 0;
+  /// Heap pops over both search passes, all nets and all Steiner rounds
+  /// (failed attempts included): a deterministic measure of routing work.
+  std::uint64_t expanded = 0;
 };
 
 /// Routes every net of the instance over the placed blocks.  Blocks not on
 /// the net act as obstacles; pins sit on block boundaries per each block's
 /// preferred routing direction (derived from the structure type when the
-/// graph is available; here: north).
+/// graph is available; here: north).  One search scratch, sized to the
+/// largest escape graph so far, serves every net and is freed on return;
+/// on glibc the call then hands its freed heap pages back to the system.
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs = {});

@@ -1,6 +1,7 @@
 #include "service/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,13 @@ JsonValue JsonValue::make_number(double d) {
   JsonValue v;
   v.type_ = Type::kNumber;
   v.num_ = d;
+  return v;
+}
+
+JsonValue JsonValue::make_uint(double d, std::uint64_t exact) {
+  JsonValue v = make_number(d);
+  v.has_uint_ = true;
+  v.uint_ = exact;
   return v;
 }
 
@@ -94,8 +102,10 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 std::uint64_t JsonValue::as_uint(const std::string& what) const {
   const double d = as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 1.8446744073709552e19) {
-    throw JsonError(0, what + " must be a non-negative integer");
+  if (has_uint_) return uint_;
+  // 1.8446744073709552e19 is 2^64 exactly: the cast needs d below it.
+  if (!(d >= 0.0) || d != std::floor(d) || d >= 1.8446744073709552e19) {
+    throw JsonError(0, what + " must be a non-negative integer below 2^64");
   }
   return static_cast<std::uint64_t>(d);
 }
@@ -334,6 +344,13 @@ class Parser {
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("invalid number");
     if (errno == ERANGE && !std::isfinite(v)) fail("number out of range");
+    // An integer token below 2^64 also keeps its exact value.  from_chars
+    // stops at a sign, a '.' or an exponent and reports 2^64 and above as
+    // out of range; those stay doubles, which as_uint rejects.
+    std::uint64_t exact = 0;
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, exact);
+    if (ec == std::errc{} && ptr == last) return JsonValue::make_uint(v, exact);
     return JsonValue::make_number(v);
   }
 

@@ -8,8 +8,10 @@
 // to a structured invalid_config response — never undefined parser state.
 //
 // Values are an immutable tree of JsonValue nodes.  Numbers are doubles
-// (the report emitter writes %.17g, which round-trips every double);
-// object member order is preserved for deterministic re-emission.
+// (the report emitter writes %.17g, which round-trips every double); a
+// plain non-negative integer token below 2^64 also keeps its exact value,
+// so 64-bit ids and seeds survive.  Object member order is preserved for
+// deterministic re-emission.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +39,8 @@ class JsonValue {
   JsonValue() : type_(Type::kNull) {}
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double v);
+  /// A number parsed from an integer token whose exact value is `exact`.
+  static JsonValue make_uint(double v, std::uint64_t exact);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(
@@ -63,8 +67,9 @@ class JsonValue {
   /// Object member that must exist; throws naming the key otherwise.
   const JsonValue& at(const std::string& key) const;
 
-  /// as_number() narrowed to an exactly-representable non-negative integer;
-  /// throws when the number has a fractional part or is out of range.
+  /// The number as a non-negative integer: an integer token's exact value,
+  /// else as_number() when it is whole; throws when the number has a
+  /// fractional part, is negative or is 2^64 or more.
   std::uint64_t as_uint(const std::string& what) const;
   /// as_number() narrowed to an exactly-representable signed integer.
   long long as_int(const std::string& what) const;
@@ -73,6 +78,8 @@ class JsonValue {
   Type type_;
   bool bool_ = false;
   double num_ = 0.0;
+  bool has_uint_ = false;  ///< uint_ holds the token's exact value
+  std::uint64_t uint_ = 0;
   std::string str_;
   std::vector<JsonValue> arr_;
   std::vector<std::pair<std::string, JsonValue>> obj_;

@@ -92,6 +92,13 @@ TEST(SpiceParser, OverlongLineIsAnError) {
 TEST(SpiceParser, BadDeviceParametersAreErrors) {
   expect_error("M1 d g s b nch w=-2u\n", 1, "bad W/L/NF on 'M1'");
   expect_error("M1 d g s b nch w=1u nf=0\n", 1, "bad W/L/NF on 'M1'");
+  // NF is range-checked before its cast to int: below 1, beyond int's
+  // range and non-finite values are errors, not undefined behaviour.
+  expect_error("M1 d g s b nch w=1u nf=0.5\n", 1, "bad W/L/NF on 'M1'");
+  expect_error("M1 d g s b nch w=1u nf=1e30\n", 1, "bad W/L/NF on 'M1'");
+  expect_error("M1 d g s b nch w=1u nf=2147483648\n", 1,
+               "bad W/L/NF on 'M1'");
+  expect_error("M1 d g s b nch w=1u nf=-1e30\n", 1, "bad W/L/NF on 'M1'");
   expect_error("R1 a b 0\n", 1, "non-positive");
   expect_error("M1 d g s\n", 1, "needs <d> <g> <s> <b> <model>");
   expect_error("M1 d g s b nch w=1u stray\n", 1,

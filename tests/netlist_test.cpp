@@ -100,6 +100,21 @@ TEST(Spice, MalformedThrows) {
       std::runtime_error);
 }
 
+TEST(Spice, FingerCountIsRangeChecked) {
+  auto deck = [](const std::string& nf) {
+    return ".subckt x a b\nM1 a b a a nmos W=1.0 L=0.18 NF=" + nf +
+           "\n.ends\n";
+  };
+  EXPECT_EQ(Netlist::from_spice(deck("2")).device(0).fingers, 2);
+  EXPECT_EQ(Netlist::from_spice(deck("2147483647")).device(0).fingers,
+            2147483647);
+  // Below 1, beyond int's range or not finite: an error before the cast.
+  for (const char* bad : {"0", "0.5", "-3", "1e30", "-1e30", "2147483648",
+                          "inf", "nan"}) {
+    EXPECT_THROW(Netlist::from_spice(deck(bad)), std::runtime_error) << bad;
+  }
+}
+
 TEST(Library, RegistryCircuitsBuild) {
   for (const auto& entry : circuit_registry()) {
     const Netlist nl = entry.make();

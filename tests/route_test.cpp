@@ -1,5 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <queue>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "graphir/graph.hpp"
 #include "ingest/scenario.hpp"
 #include "netlist/library.hpp"
@@ -56,6 +72,214 @@ bool segment_crosses(const geom::Point& a, const geom::Point& b,
     if (obstacle.inflated(-1e-6).contains(p)) return true;
   }
   return false;
+}
+
+/// The unbounded router, kept as the oracle for route_net: a multi-source
+/// Dijkstra in (dist, id) order over the whole escape graph each Steiner
+/// round, accepting a relaxation only when it improves a distance by more
+/// than 1e-12, with vertices and edge midpoints tested against every
+/// shrunk obstacle.  route_net's bounded two-pass search must return the
+/// identical tree, and throw exactly when this does.
+SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
+                             std::span<const geom::Rect> obstacles,
+                             double clearance = kDefaultClearance) {
+  SteinerTree tree;
+  if (terminals.size() < 2) {
+    tree.nodes.assign(terminals.begin(), terminals.end());
+    return tree;
+  }
+  std::vector<geom::Rect> shrunk;
+  std::set<double> xset, yset;
+  for (const auto& t : terminals) {
+    xset.insert(t.x);
+    yset.insert(t.y);
+  }
+  for (const auto& o : obstacles) {
+    const geom::Rect s = o.inflated(-clearance);
+    if (s.empty()) continue;
+    shrunk.push_back(s);
+    xset.insert(s.x - clearance);
+    xset.insert(s.right() + clearance);
+    yset.insert(s.y - clearance);
+    yset.insert(s.top() + clearance);
+  }
+  const std::vector<double> xs(xset.begin(), xset.end());
+  const std::vector<double> ys(yset.begin(), yset.end());
+  const int nx = static_cast<int>(xs.size());
+  const int ny = static_cast<int>(ys.size());
+  const std::size_t nv = xs.size() * ys.size();
+  auto covered = [&](const geom::Point& p) {
+    for (const auto& s : shrunk) {
+      if (s.contains(p)) return true;
+    }
+    return false;
+  };
+  auto point = [&](std::size_t v) {
+    return geom::Point{xs[v % xs.size()], ys[v / xs.size()]};
+  };
+  auto vertex_of = [&](const geom::Point& p) {
+    const auto i = std::lower_bound(xs.begin(), xs.end(), p.x - 1e-9) -
+                   xs.begin();
+    const auto j = std::lower_bound(ys.begin(), ys.end(), p.y - 1e-9) -
+                   ys.begin();
+    return static_cast<std::size_t>(std::min<std::ptrdiff_t>(j, ny - 1)) *
+               xs.size() +
+           static_cast<std::size_t>(std::min<std::ptrdiff_t>(i, nx - 1));
+  };
+  std::vector<std::size_t> tree_vertices = {vertex_of(terminals[0])};
+  std::set<std::size_t> remaining;
+  for (std::size_t k = 1; k < terminals.size(); ++k) {
+    remaining.insert(vertex_of(terminals[k]));
+  }
+  remaining.erase(tree_vertices[0]);
+  std::vector<std::pair<std::size_t, std::size_t>> vedges;
+  const double inf = std::numeric_limits<double>::infinity();
+  while (!remaining.empty()) {
+    std::vector<double> dist(nv, inf);
+    std::vector<std::size_t> prev(nv, nv);
+    using QE = std::pair<double, std::size_t>;
+    std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+    for (std::size_t s : tree_vertices) {
+      if (covered(point(s))) continue;
+      dist[s] = 0.0;
+      pq.emplace(0.0, s);
+    }
+    std::size_t goal = nv;
+    while (!pq.empty()) {
+      const auto [d, v] = pq.top();
+      pq.pop();
+      if (d > dist[v]) continue;
+      if (remaining.count(v)) {
+        goal = v;
+        break;
+      }
+      const int i = static_cast<int>(v % xs.size());
+      const int j = static_cast<int>(v / xs.size());
+      const std::array<std::pair<int, int>, 4> nbrs{
+          {{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}}};
+      for (const auto& [ni, nj] : nbrs) {
+        if (ni < 0 || ni >= nx || nj < 0 || nj >= ny) continue;
+        const std::size_t u = static_cast<std::size_t>(nj) * xs.size() +
+                              static_cast<std::size_t>(ni);
+        const geom::Point a = point(v), b = point(u);
+        if (covered(b) || covered({(a.x + b.x) / 2.0, (a.y + b.y) / 2.0})) {
+          continue;
+        }
+        const double w = std::abs(b.x - a.x) + std::abs(b.y - a.y);
+        if (dist[v] + w < dist[u] - 1e-12) {
+          dist[u] = dist[v] + w;
+          prev[u] = v;
+          pq.emplace(dist[u], u);
+        }
+      }
+    }
+    if (goal == nv) throw std::runtime_error("oracle: terminal unreachable");
+    std::vector<std::size_t> path;
+    for (std::size_t v = goal; v != nv; v = prev[v]) path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    for (std::size_t k = 1; k < path.size(); ++k) {
+      vedges.emplace_back(path[k - 1], path[k]);
+      tree_vertices.push_back(path[k]);
+    }
+    remaining.erase(goal);
+  }
+  std::vector<std::size_t> vids;
+  for (const auto& [a, b] : vedges) {
+    vids.push_back(a);
+    vids.push_back(b);
+  }
+  std::sort(vids.begin(), vids.end());
+  vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+  auto index_of = [&](std::size_t v) {
+    return static_cast<int>(std::lower_bound(vids.begin(), vids.end(), v) -
+                            vids.begin());
+  };
+  for (std::size_t v : vids) tree.nodes.push_back(point(v));
+  std::set<std::pair<int, int>> dedup;
+  for (const auto& [a, b] : vedges) {
+    int ia = index_of(a), ib = index_of(b);
+    if (ia > ib) std::swap(ia, ib);
+    if (ia != ib) dedup.emplace(ia, ib);
+  }
+  tree.edges.assign(dedup.begin(), dedup.end());
+  return tree;
+}
+
+bool same_tree(const SteinerTree& a, const SteinerTree& b) {
+  if (a.nodes.size() != b.nodes.size() || a.edges != b.edges) return false;
+  for (std::size_t k = 0; k < a.nodes.size(); ++k) {
+    if (std::memcmp(&a.nodes[k], &b.nodes[k], sizeof(geom::Point)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RouteNet, BoundedSearchMatchesUnboundedOracle) {
+  // Seeded obstacle fields, half on an integer lattice (many equal-length
+  // paths, so the (dist, id) tie-break decides) and half on arbitrary
+  // coordinates; 2-6 pins, some on obstacle edges as block pins sit and
+  // every fifth field with a pin walled in by a ring of four walls (a
+  // third of the rings leave a gap).  route_net must return the oracle's
+  // tree bit for bit, or throw exactly when the oracle does.
+  std::mt19937_64 rng(0x5eed0a75ull);
+  auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  int routed = 0, unreachable = 0;
+  for (int field = 0; field < 400; ++field) {
+    const bool lattice = field % 2 == 0;
+    auto coord = [&](double span) {
+      const double c = unit() * span;
+      return lattice ? std::floor(c) : c;
+    };
+    std::vector<geom::Rect> obstacles;
+    const int num_obstacles = static_cast<int>(rng() % 25);
+    for (int k = 0; k < num_obstacles; ++k) {
+      obstacles.push_back(
+          {coord(36.0), coord(36.0), 1.0 + coord(8.0), 1.0 + coord(8.0)});
+    }
+    std::vector<geom::Point> pins;
+    const int num_pins = 2 + static_cast<int>(rng() % 5);
+    for (int k = 0; k < num_pins; ++k) {
+      if (!obstacles.empty() && rng() % 3 == 0) {
+        const auto& o = obstacles[rng() % obstacles.size()];
+        pins.push_back({o.x + o.w / 2.0, o.top()});
+      } else {
+        pins.push_back({coord(40.0), coord(40.0)});
+      }
+    }
+    if (field % 5 == 0) {
+      const geom::Point p = pins[1];
+      const double right_h = field % 15 == 0 ? 2.0 : 6.0;
+      obstacles.push_back({p.x - 3.0, p.y - 3.0, 6.0, 1.0});
+      obstacles.push_back({p.x - 3.0, p.y + 2.0, 6.0, 1.0});
+      obstacles.push_back({p.x - 3.0, p.y - 3.0, 1.0, 6.0});
+      obstacles.push_back({p.x + 2.0, p.y - 3.0, 1.0, right_h});
+    }
+    const double clearance = field % 7 == 0 ? 0.3 : kDefaultClearance;
+    SteinerTree want;
+    bool want_throw = false;
+    try {
+      want = oracle_route_net(pins, obstacles, clearance);
+    } catch (const std::runtime_error&) {
+      want_throw = true;
+    }
+    SteinerTree got;
+    bool got_throw = false;
+    try {
+      got = route_net(pins, obstacles, clearance);
+    } catch (const std::runtime_error&) {
+      got_throw = true;
+    }
+    ASSERT_EQ(got_throw, want_throw) << "field " << field;
+    if (want_throw) {
+      ++unreachable;
+      continue;
+    }
+    ++routed;
+    EXPECT_TRUE(same_tree(got, want)) << "field " << field;
+  }
+  EXPECT_GE(routed, 200);
+  EXPECT_GE(unreachable, 100);
 }
 
 TEST(RouteNet, TwoTerminalStraightLine) {
@@ -200,6 +424,59 @@ TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
   }
 }
 
+TEST(GlobalRoute, WindowedRetryEscapesOnTheFullCanvas) {
+  // Above 64 blocks a net first routes on a window around its pins.  Block
+  // 0's pin sits in a pocket of walls (blocks 1-5) whose only exit is a
+  // 0.08 um overlap in the right wall: more than one clearance (0.05), so
+  // each wall part's edge line lies inside the other part, and less than
+  // two, so a channel stays open between the shrunk parts.  No grid line
+  // of the window runs through that channel.  Block 6, far outside the
+  // window, puts its bottom edge on the channel's centre line, so only the
+  // full-canvas retry reaches block 7's pin.
+  constexpr int kBlocks = 70;
+  floorplan::Instance inst;
+  inst.blocks.resize(kBlocks);
+  inst.nets = {{0, 7}};
+  std::vector<geom::Rect> rects(kBlocks);
+  rects[0] = {0.0, 0.0, 2.0, 2.0};
+  rects[1] = {-3.0, -3.0, 9.0, 1.0};   // bottom wall
+  rects[2] = {-3.0, 5.0, 9.0, 1.0};    // top wall
+  rects[3] = {-3.0, -3.0, 1.0, 9.0};   // left wall
+  rects[4] = {5.0, -3.0, 1.0, 4.54};   // right wall, up to y = 1.54
+  rects[5] = {5.0, 1.46, 1.0, 4.54};   // right wall, from y = 1.46
+  rects[6] = {100.0, 1.5, 2.0, 2.0};
+  rects[7] = {10.0, 0.0, 2.0, 2.0};
+  for (int b = 8; b < kBlocks; ++b) {
+    rects[static_cast<std::size_t>(b)] = {200.0 + 3.0 * (b % 10),
+                                          200.0 + 3.0 * (b / 10), 2.0, 2.0};
+  }
+  const std::vector<geom::Point> pins{block_pin_for_net(rects[0], 0, 0),
+                                      block_pin_for_net(rects[7], 0, 0)};
+  geom::Rect window = geom::bounding_box_points(pins);
+  window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
+  std::vector<geom::Rect> clipped;
+  for (int b = 1; b < 7; ++b) {
+    if (rects[static_cast<std::size_t>(b)].overlaps(window)) {
+      clipped.push_back(rects[static_cast<std::size_t>(b)]);
+    }
+  }
+  ASSERT_EQ(clipped.size(), 5u);  // the walls, not block 6
+  EXPECT_THROW(route_net(pins, clipped), std::runtime_error);
+
+  const auto gr = global_route(inst, rects);
+  EXPECT_EQ(gr.failed_nets, 0);
+  ASSERT_EQ(gr.trees.size(), 1u);
+  const auto& tree = gr.trees[0];
+  EXPECT_TRUE(tree_connected(tree));
+  EXPECT_TRUE(is_rectilinear(tree));
+  for (const auto& p : pins) {
+    EXPECT_NE(std::find(tree.nodes.begin(), tree.nodes.end(), p),
+              tree.nodes.end());
+  }
+  // Down to the channel line y = 1.5, across, and up again.
+  EXPECT_NEAR(gr.total_wirelength, 11.0, 1e-9);
+}
+
 TEST(GlobalRoute, WirelengthGrowsWithSpread) {
   netlist::Netlist nl = netlist::make_ota_small();
   auto g = graphir::build_graph(nl, structrec::recognize(nl));
@@ -216,6 +493,274 @@ TEST(GlobalRoute, WirelengthGrowsWithSpread) {
   const auto tight = global_route(inst, place(0.5));
   const auto spread = global_route(inst, place(10.0));
   EXPECT_GT(spread.total_wirelength, tight.total_wirelength);
+}
+
+
+// ------------------------------------------------------------ route golden ---
+// Pins the bits of global_route across commits.  Each fixed placement is
+// routed and the resulting GlobalRoute (every tree's nodes and edges, the
+// conduits, the total_wirelength bits, the net names and failed_nets) is
+// reduced to a 64-bit FNV-1a fingerprint, compared with the recorded table
+// below.  The Table I circuits (under 64 blocks) take the full-canvas
+// escape graph; the 100- and 250-block scenarios take the windowed one,
+// and their seeded overlaps wall some pins in, so the full-canvas retry
+// and the failure path are pinned as well.  A second table pins
+// GlobalRoute::expanded, the router's heap-pop count: a change that makes
+// routing do more work fails a deterministic count instead of a noisy
+// timer.  A change that moves routes or work on purpose re-records the
+// tables: the failure message lists every mismatching row.
+
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    add(u);
+  }
+  void add(const geom::Point& p) {
+    add(p.x);
+    add(p.y);
+  }
+  void add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) add(static_cast<std::uint64_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t fingerprint(const route::GlobalRoute& gr) {
+  Fnv f;
+  f.add(static_cast<std::uint64_t>(gr.trees.size()));
+  for (const auto& t : gr.trees) {
+    f.add(static_cast<std::uint64_t>(t.nodes.size()));
+    for (const auto& p : t.nodes) f.add(p);
+    f.add(static_cast<std::uint64_t>(t.edges.size()));
+    for (const auto& [a, b] : t.edges) {
+      f.add(static_cast<std::uint64_t>(a));
+      f.add(static_cast<std::uint64_t>(b));
+    }
+  }
+  for (const auto& n : gr.net_names) f.add(n);
+  f.add(static_cast<std::uint64_t>(gr.conduits.size()));
+  for (const auto& c : gr.conduits) {
+    f.add(c.a);
+    f.add(c.b);
+    f.add(static_cast<std::uint64_t>(c.layer));
+    f.add(c.net);
+  }
+  f.add(gr.total_wirelength);
+  f.add(static_cast<std::uint64_t>(gr.failed_nets));
+  return f.value();
+}
+
+/// One routed case: an instance, a fixed placement and the pipeline's
+/// per-block routing directions.
+struct RouteCase {
+  floorplan::Instance inst;
+  std::vector<geom::Rect> rects;
+  std::vector<int> dirs;
+};
+
+/// Seeded shelf placement: blocks in a shuffled order, each on a seeded
+/// candidate shape, packed into rows with seeded gaps in [-0.3, 1.7] um.
+/// Raw mt19937_64 words only (its output is fixed by the standard; the
+/// <random> distributions are not), so the placement is the same on every
+/// toolchain.
+std::vector<geom::Rect> shelf_placement(const floorplan::Instance& inst,
+                                        std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto gap = [&] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53 * 2.0 - 0.3;
+  };
+  const std::size_t n = inst.blocks.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng() % i]);
+  }
+  const double row_w = 1.4 * std::sqrt(inst.total_block_area());
+  std::vector<geom::Rect> rects(n);
+  double x = 0.0, y = 0.0, row_h = 0.0;
+  for (const std::size_t b : order) {
+    const auto& s = inst.blocks[b].shapes[rng() % floorplan::kNumShapes];
+    if (x > 0.0 && x + s.w > row_w) {
+      x = 0.0;
+      y += row_h + gap();
+      row_h = 0.0;
+    }
+    rects[b] = {x, y, s.w, s.h};
+    x += s.w + gap();
+    row_h = std::max(row_h, s.h);
+  }
+  return rects;
+}
+
+RouteCase make_case(const netlist::Netlist& nl, std::uint64_t seed) {
+  const auto g = graphir::build_graph(nl, structrec::recognize(nl));
+  RouteCase rc;
+  rc.inst = floorplan::make_instance(g);
+  rc.rects = shelf_placement(rc.inst, seed);
+  for (const auto& node : g.nodes) rc.dirs.push_back(node.routing_direction);
+  return rc;
+}
+
+/// Case names: a Table I circuit or a scenario spec, then "#" and the
+/// placement seed.
+std::map<std::string, RouteCase> route_cases() {
+  std::map<std::string, RouteCase> cases;
+  for (const char* circuit :
+       {"ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      for (const auto& e : netlist::circuit_registry()) {
+        if (e.name != circuit) continue;
+        cases[std::string(circuit) + "#" + std::to_string(seed)] =
+            make_case(e.make(), seed);
+      }
+    }
+  }
+  for (const char* spec : {"ota:100:1", "bias:100:2", "latch:100:3",
+                           "driver:100:4", "ota:250:5", "bias:250:6",
+                           "latch:250:7", "driver:250:8"}) {
+    const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse(spec));
+    cases[std::string(spec) + "#1"] = make_case(sc.netlist, 1);
+  }
+  return cases;
+}
+
+/// Every case routed once, shared by the tests below.
+struct Routed {
+  route::GlobalRoute route;
+  bool windowed = false;  ///< above the router's 64-block window threshold
+};
+
+const std::map<std::string, Routed>& routed_cases() {
+  static const auto routed = [] {
+    std::map<std::string, Routed> out;
+    for (const auto& [name, rc] : route_cases()) {
+      out[name] = {route::global_route(rc.inst, rc.rects, rc.dirs),
+                   rc.inst.num_blocks() > 64};
+    }
+    return out;
+  }();
+  return routed;
+}
+
+struct Golden {
+  const char* name;
+  std::uint64_t value;
+};
+
+// Route fingerprints, recorded before the router's bounded search.
+constexpr Golden kRouteGolden[] = {
+    {"bias1#1", 0xff74b7ae0bcaa3a2ull},
+    {"bias1#2", 0xa02bb6a5587eaabfull},
+    {"bias2#1", 0xfc2f124f5acdcda9ull},
+    {"bias2#2", 0xbcee2f8e5f48b6b0ull},
+    {"bias:100:2#1", 0x9a9816cd0d13ac80ull},
+    {"bias:250:6#1", 0x0f0a0c0aee663361ull},
+    {"driver#1", 0x857ac0e96900e4a0ull},
+    {"driver#2", 0xa45eae26f324df69ull},
+    {"driver:100:4#1", 0x67b676b728477ef2ull},
+    {"driver:250:8#1", 0x36779384d59ba26dull},
+    {"latch:100:3#1", 0xc196b2edd3d6523aull},
+    {"latch:250:7#1", 0x7f70161df6cfd841ull},
+    {"ota1#1", 0x26a67bca11a0b709ull},
+    {"ota1#2", 0xf3f953dca0c743dfull},
+    {"ota2#1", 0xadce1e98c944e332ull},
+    {"ota2#2", 0x7c20a6cf0987eec4ull},
+    {"ota:100:1#1", 0xf4abc17aa0c5e797ull},
+    {"ota:250:5#1", 0xfc5a79616dec17beull},
+    {"rs_latch#1", 0x811db2c4266f6b32ull},
+    {"rs_latch#2", 0x12343126ba5b12c5ull},
+};
+
+// Heap pops (GlobalRoute::expanded), recorded with the bounded two-pass
+// search.
+constexpr Golden kExpandedGolden[] = {
+    {"bias1#1", 342},
+    {"bias1#2", 427},
+    {"bias2#1", 1657},
+    {"bias2#2", 1849},
+    {"bias:100:2#1", 62701},
+    {"bias:250:6#1", 973120},
+    {"driver#1", 2295},
+    {"driver#2", 1063},
+    {"driver:100:4#1", 185853},
+    {"driver:250:8#1", 2136337},
+    {"latch:100:3#1", 123585},
+    {"latch:250:7#1", 1455974},
+    {"ota1#1", 98},
+    {"ota1#2", 60},
+    {"ota2#1", 462},
+    {"ota2#2", 294},
+    {"ota:100:1#1", 109686},
+    {"ota:250:5#1", 1537071},
+    {"rs_latch#1", 205},
+    {"rs_latch#2", 161},
+};
+
+/// Compares `actual` against `table`; returns the rows to paste when any
+/// case is missing from the table or differs, and names every table row
+/// that no routed case matched.
+std::string mismatches(const std::map<std::string, std::uint64_t>& actual,
+                       const Golden* table, std::size_t rows,
+                       const char* format) {
+  std::map<std::string, std::uint64_t> expected;
+  for (std::size_t i = 0; i < rows; ++i) {
+    expected[table[i].name] = table[i].value;
+  }
+  std::string out;
+  for (const auto& [name, value] : actual) {
+    const auto it = expected.find(name);
+    if (it != expected.end() && it->second == value) continue;
+    char row[128];
+    std::snprintf(row, sizeof row, format, name.c_str(),
+                  static_cast<unsigned long long>(value));
+    out += row;
+  }
+  for (const auto& [name, value] : expected) {
+    if (!actual.contains(name)) out += "    no routed case for " + name + "\n";
+  }
+  return out;
+}
+
+TEST(RouteGolden, MatchesRecordedFingerprints) {
+  std::map<std::string, std::uint64_t> actual;
+  int windowed = 0, failed_full = 0, failed_windowed = 0;
+  for (const auto& [name, r] : routed_cases()) {
+    actual[name] = fingerprint(r.route);
+    windowed += r.windowed ? 1 : 0;
+    (r.windowed ? failed_windowed : failed_full) += r.route.failed_nets;
+  }
+  EXPECT_EQ(windowed, 8);
+  EXPECT_GT(failed_full, 0) << "no full-canvas case walls a pin in";
+  EXPECT_GT(failed_windowed, 0) << "no windowed case walls a pin in";
+  const std::string bad = mismatches(actual, kRouteGolden,
+                                     std::size(kRouteGolden),
+                                     "    {\"%s\", 0x%016llxull},\n");
+  EXPECT_TRUE(bad.empty()) << "route fingerprints moved; re-record only for "
+                              "a change that moves routes on purpose:\n"
+                           << bad;
+}
+
+TEST(RouteGolden, MatchesRecordedWork) {
+  std::map<std::string, std::uint64_t> actual;
+  for (const auto& [name, r] : routed_cases()) actual[name] = r.route.expanded;
+  const std::string bad = mismatches(actual, kExpandedGolden,
+                                     std::size(kExpandedGolden),
+                                     "    {\"%s\", %llu},\n");
+  EXPECT_TRUE(bad.empty()) << "router heap pops moved; re-record only for a "
+                              "change that moves routing work on purpose:\n"
+                           << bad;
 }
 
 }  // namespace

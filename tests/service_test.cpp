@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -97,6 +98,20 @@ TEST(Json, IntegerNarrowingIsExact) {
   EXPECT_THROW(service::json_parse("-1").as_uint("x"), JsonError);
   EXPECT_EQ(service::json_parse("-3").as_int("x"), -3);
   EXPECT_THROW(service::json_parse("1e30").as_int("x"), JsonError);
+  // Integer tokens keep their exact value past 2^53 (a double would round
+  // 2^53 + 1 down), up to 2^64 - 1; 2^64 and beyond are out of range.
+  EXPECT_EQ(service::json_parse("9007199254740993").as_uint("x"),
+            9007199254740993ull);
+  EXPECT_EQ(service::json_parse("18446744073709551615").as_uint("x"),
+            18446744073709551615ull);
+  EXPECT_THROW(service::json_parse("18446744073709551616").as_uint("x"),
+               JsonError);
+  EXPECT_THROW(service::json_parse("1e20").as_uint("x"), JsonError);
+  EXPECT_EQ(service::json_parse("1e3").as_uint("x"), 1000u);
+  EXPECT_EQ(service::json_parse("[9007199254740993]")
+                .as_array()[0]
+                .as_uint("x"),
+            9007199254740993ull);
 }
 
 // ------------------------------------------------------------ frame codec ---
@@ -466,17 +481,22 @@ TEST_F(ServiceE2E, SeedlessSubmitsDeriveDistinctSeeds) {
   EXPECT_NE(ra.seed, 0u);
   EXPECT_NE(rb.seed, 0u);
   EXPECT_NE(ra.seed, rb.seed);
-  // Each derives from the job id its accepted frame carried.  The report
-  // bytes hold the exact 64-bit seed (the client reads JSON numbers as
-  // doubles, which round it).
+  // Each derives from the job id its accepted frame carried: a full 64-bit
+  // seed, exact both in the report bytes and in the client's Result.
   const std::uint64_t base = service::ServerConfig{}.base_seed;
   for (const auto& [acc, res] : {std::pair{a, ra}, std::pair{b, rb}}) {
-    const std::string seed =
-        "\"seed\": " +
-        std::to_string(core::JobService::job_seed(base, acc.job)) + ",";
+    const std::uint64_t want = core::JobService::job_seed(base, acc.job);
+    const std::string seed = "\"seed\": " + std::to_string(want) + ",";
     EXPECT_NE(res.report_raw.find(seed), std::string::npos)
         << "job " << acc.job << " wants " << seed;
+    EXPECT_EQ(res.seed, want);
   }
+  EXPECT_GT(std::max(ra.seed, rb.seed), 1ull << 53);
+  // An explicit seed above 2^53 survives the submit frame and the result
+  // frame both.
+  const std::uint64_t big = (1ull << 53) + 1;
+  const auto c = client.submit("ota_small", big, 0, config_json(40));
+  EXPECT_EQ(client.await_result(c.job).seed, big);
 }
 
 TEST_F(ServiceE2E, ConcurrentSessionsGetIdenticalBytesPerSeed) {
