@@ -2,8 +2,8 @@
 # through `afp_cli ingest` with a schema-valid JSON report, the checked-in
 # malformed deck must exit 2 with a file:line diagnostic, and a 3-family x
 # 2-size scenario matrix must produce bitwise-identical batch reports at
-# AFP_NUM_THREADS 1 and 4 (modulo the runtime members: timings, tt_cache,
-# runtime_s and the recorded thread count).
+# AFP_NUM_THREADS 1 and 4 (modulo the runtime members: timings, runtime_s
+# and the recorded thread count).
 #
 # Invoked by CTest as:
 #   cmake -DAFP_CLI=... -DPYTHON=... -DSCHEMA_DIR=... -DEXAMPLES_DIR=...
@@ -79,8 +79,6 @@ foreach(threads 1 4)
   endif()
   file(READ "${report}" body)
   string(REGEX REPLACE "\"timings\": {[^}]*}" "\"timings\": {}" body "${body}")
-  string(REGEX REPLACE "\"tt_cache\": {[^}]*}" "\"tt_cache\": {}"
-         body "${body}")
   string(REGEX REPLACE "\"runtime_s\": [0-9.eE+-]+" "\"runtime_s\": 0"
          body "${body}")
   string(REGEX REPLACE "\"threads\": [0-9]+" "\"threads\": 0" body "${body}")

@@ -47,13 +47,11 @@ if(NOT rc EQUAL 0)
 endif()
 message(STATUS "${out}")
 
-# Bitwise parity, daemon vs CLI, modulo the timings/tt_cache lines.
+# Bitwise parity, daemon vs CLI, modulo the timings line.
 foreach(seed IN LISTS seeds)
   foreach(side cli report)
     file(READ ${WORK_DIR}/${side}_seed${seed}.json ${side}_bytes)
     string(REGEX REPLACE "\"timings\": {[^}]*}" "\"timings\": {}"
-           ${side}_bytes "${${side}_bytes}")
-    string(REGEX REPLACE "\"tt_cache\": {[^}]*}" "\"tt_cache\": {}"
            ${side}_bytes "${${side}_bytes}")
   endforeach()
   if(NOT cli_bytes STREQUAL report_bytes)

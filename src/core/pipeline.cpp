@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "core/fault.hpp"
-#include "metaheur/eval_cache.hpp"
 #include "metaheur/parallel_search.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/serialize.hpp"
@@ -254,18 +253,11 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   metaheur::BaselineResult base;
   long quanta = 1;
 
-  // Job-scoped transposition cache: every quantum, restart and PT replica
-  // of this job shares one memo (metaheur/eval_cache), so a state revisited
-  // by any of them skips its repack + rescore.  Memoized costs are pure
-  // functions of the key, which keeps the quantum determinism contract
-  // intact; thread safety comes from the cache's striped locks.
-  metaheur::TranspositionCache tt;
-  // What one optimizer invocation sees: the configured iteration budget,
-  // the stop token and the job's cache.
+  // What one optimizer invocation sees: the configured iteration budget
+  // and the stop token.
   metaheur::SearchBudget search;
   search.iterations = budget.iterations;
   search.stop = cancel;
-  search.tt = &tt;
 
   // Exception firewall around one single run or one wave of quanta, the
   // first of which is `q`: the stop-signal exceptions and bad_alloc keep
@@ -361,10 +353,6 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   res.optimizer = opt.name();
   res.evaluations = evaluations;
   res.quanta = quanta;
-  res.tt.hits = tt.hits();
-  res.tt.misses = tt.misses();
-  res.tt.dropped = tt.dropped();
-  res.tt.entries = tt.size();
   return res;
 }
 

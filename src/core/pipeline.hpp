@@ -77,18 +77,6 @@ struct PipelineResult {
   std::string optimizer;
   long evaluations = 0;
   long quanta = 1;
-  /// Transposition-cache counters for the job-scoped cache the search ran
-  /// against (all zero on the RL path, which has no cache).  hits/misses
-  /// split is thread-schedule dependent when restarts or replicas share the
-  /// cache, so reports treat this object like `timings`: informational, and
-  /// stripped before bitwise comparisons.
-  struct TtStats {
-    long hits = 0;
-    long misses = 0;
-    long dropped = 0;  ///< inserts dropped because a stripe was full
-    long entries = 0;  ///< resident entries when the search finished
-  };
-  TtStats tt;
 };
 
 /// Bounded retry for retryable failures (optimizer_failure,

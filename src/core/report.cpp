@@ -84,12 +84,6 @@ std::string report_json(const PipelineResult& res, const std::string& circuit,
      << ", \"max_retries\": " << search.retry.max_retries << "},\n";
   os << "  \"evaluations\": " << res.evaluations << ",\n";
   os << "  \"quanta\": " << res.quanta << ",\n";
-  // One line, like "timings": the hit/miss split depends on the thread
-  // schedule when restarts/replicas share the cache, so bitwise comparisons
-  // strip this object the same way they strip timings.
-  os << "  \"tt_cache\": {\"hits\": " << res.tt.hits
-     << ", \"misses\": " << res.tt.misses << ", \"dropped\": " << res.tt.dropped
-     << ", \"entries\": " << res.tt.entries << "},\n";
   os << "  \"cost\": " << num(metaheur::sp_cost(res.instance, res.rects))
      << ",\n";
   os << "  \"eval\": {\"area\": " << num(res.eval.area)
@@ -106,6 +100,8 @@ std::string report_json(const PipelineResult& res, const std::string& circuit,
      << ", \"vias\": " << res.layout.vias.size() << ", \"drc_clean\": "
      << (res.drc.clean() ? "true" : "false") << ", \"lvs_clean\": "
      << (res.lvs.clean() ? "true" : "false") << "},\n";
+  // One line, so bitwise comparisons can blank it: with no time budget, no
+  // other member varies between runs of one job.
   os << "  \"timings\": {\"recognition_s\": " << num(res.timings.recognition_s)
      << ", \"hpwl_ref_s\": " << num(res.timings.hpwl_ref_s)
      << ", \"floorplan_s\": " << num(res.timings.floorplan_s)

@@ -10,8 +10,9 @@
 //                         per job (status, seed, runtime, nested report).
 //
 // Numbers are emitted at full precision (%.17g) so reports double as
-// reproducibility artifacts; timings are included but live in their own
-// object, which determinism checks simply ignore.
+// reproducibility artifacts.  Timings are included but live in their own
+// one-line object, which determinism checks blank: with no time budget, no
+// other member varies between runs of one job.
 #pragma once
 
 #include <string>

@@ -60,7 +60,7 @@ BaselineResult run_anneal(const floorplan::Instance& inst, const SAParams& p,
   p.check();
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
-  typename Chain::Evaluator ev(inst, spacing, p.tt);
+  typename Chain::Evaluator ev(inst, spacing);
   Annealer<Chain> chain;
   chain.start(inst, rng, score_with(ev));
   long evals = 1;
@@ -328,7 +328,7 @@ BaselineResult run_rlsa(const floorplan::Instance& inst, const RLSAParams& p,
   p.check();
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
-  SpEvaluator ev(inst, spacing, p.tt);
+  SpEvaluator ev(inst, spacing);
   Annealer<SpChain> chain;
   chain.start(inst, rng, score_with(ev));
   long evals = 1;
@@ -368,7 +368,7 @@ BaselineResult run_rlsp(const floorplan::Instance& inst, const RLSPParams& p,
   // the heavier runtime profile [13] reports for its pure-RL variant.
   const auto t0 = Clock::now();
   const double spacing = resolve_spacing(inst, p.spacing_um);
-  SpEvaluator ev(inst, spacing, p.tt);
+  SpEvaluator ev(inst, spacing);
   MovePrefs theta{};
   SequencePair best = SequencePair::random(inst.num_blocks(), rng);
   double best_cost = ev.cost(best);

@@ -14,8 +14,6 @@
 
 namespace afp::metaheur {
 
-class TranspositionCache;  // metaheur/eval_cache.hpp
-
 /// Result record common to all baselines.
 struct BaselineResult {
   std::string method;
@@ -32,10 +30,6 @@ struct SearchParams {
   /// Polled by the inner loop (per move, generation, sweep or episode); a
   /// stopped run returns its best-so-far.  Null = never stops.
   const CancelToken* stop = nullptr;
-  /// Optional job-scoped memo shared by the restarts, quanta and PT
-  /// replicas of one job.  GA and PSO never read it: their population
-  /// members are unrelated states scored on the full path.
-  TranspositionCache* tt = nullptr;
   /// Range check of the struct's own knobs; throws std::invalid_argument.
   /// Each run_* entry point calls its struct's check, and so does the
   /// registry once configure() has applied the options.

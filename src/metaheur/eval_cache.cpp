@@ -1,13 +1,13 @@
 #include "metaheur/eval_cache.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-
-#include "metaheur/parallel_search.hpp"
 
 namespace afp::metaheur {
 
@@ -41,28 +41,21 @@ bool same_rect(const geom::Rect& a, const geom::Rect& b) {
          same_bits(a.h, b.h);
 }
 
-[[noreturn]] void parity_failure(const std::string& what, double full,
-                                 double delta) {
-  throw std::logic_error("eval_cache parity violation (" + what +
-                         "): full=" + std::to_string(full) +
-                         " delta=" + std::to_string(delta));
-}
-
 void check_parity(const char* tag, double full_cost, double delta_cost,
                   const std::vector<geom::Rect>& full_rects,
                   const std::vector<geom::Rect>& delta_rects) {
+  const auto fail = [tag](const std::string& what) {
+    throw std::logic_error(std::string("eval_cache parity violation (") +
+                           tag + "): " + what);
+  };
   if (!same_bits(full_cost, delta_cost)) {
-    parity_failure(tag, full_cost, delta_cost);
+    fail("full=" + std::to_string(full_cost) +
+         " delta=" + std::to_string(delta_cost));
   }
-  if (full_rects.size() != delta_rects.size()) {
-    throw std::logic_error(std::string("eval_cache parity violation (") + tag +
-                           "): rect count mismatch");
-  }
+  if (full_rects.size() != delta_rects.size()) fail("rect count mismatch");
   for (std::size_t b = 0; b < full_rects.size(); ++b) {
     if (!same_rect(full_rects[b], delta_rects[b])) {
-      throw std::logic_error(std::string("eval_cache parity violation (") +
-                             tag + "): rect mismatch at block " +
-                             std::to_string(b));
+      fail("rect mismatch at block " + std::to_string(b));
     }
   }
 }
@@ -70,45 +63,20 @@ void check_parity(const char* tag, double full_cost, double delta_cost,
 /// The one mode dispatch behind SpEvaluator::cost and BStarEvaluator::cost.
 /// `full_pack()` runs the legacy packer; `delta()` runs the incremental
 /// path and leaves its rects in `delta_rects`.
-template <typename Encoding, typename FullPack, typename Delta>
-double dispatch_cost(const floorplan::Instance& inst, const Encoding& enc,
-                     TranspositionCache* tt, const char* tag,
+template <typename FullPack, typename Delta>
+double dispatch_cost(const floorplan::Instance& inst, const char* tag,
                      const FullPack& full_pack, const Delta& delta,
                      const std::vector<geom::Rect>& delta_rects) {
   const EvalMode mode = eval_mode();
-  if (mode == EvalMode::kFull) {
-    // Pure legacy path: no memoization, no incremental state — the honest
-    // baseline the bench compares against.
-    return sp_cost(inst, full_pack());
-  }
-  if (mode == EvalMode::kDelta) {
-    if (tt == nullptr) return delta();
-    const TranspositionCache::Key key = TranspositionCache::hash(enc);
-    double c = 0.0;
-    if (tt->lookup(key, &c)) return c;
-    c = delta();
-    tt->insert(key, c);
-    return c;
-  }
+  // Full: the pure legacy path, no incremental state — the honest baseline
+  // the bench compares against.
+  if (mode == EvalMode::kFull) return sp_cost(inst, full_pack());
+  if (mode == EvalMode::kDelta) return delta();
   // Check mode: run the oracle and the delta path on every evaluation.
   const auto full_rects = full_pack();
   const double full_cost = sp_cost(inst, full_rects);
-  double tt_cost = 0.0;
-  bool tt_hit = false;
-  TranspositionCache::Key key{};
-  if (tt != nullptr) {
-    key = TranspositionCache::hash(enc);
-    tt_hit = tt->lookup(key, &tt_cost);
-  }
   const double delta_cost = delta();
   check_parity(tag, full_cost, delta_cost, full_rects, delta_rects);
-  if (tt_hit) {
-    if (!same_bits(tt_cost, full_cost)) {
-      parity_failure(std::string(tag) + " tt", full_cost, tt_cost);
-    }
-  } else if (tt != nullptr) {
-    tt->insert(key, full_cost);
-  }
   return full_cost;
 }
 
@@ -141,89 +109,6 @@ const char* to_string(EvalMode mode) {
       return "check";
   }
   return "?";
-}
-
-// ---------------------------------------------------------------------------
-// TranspositionCache
-
-bool TranspositionCache::lookup(const Key& k, double* cost) const {
-  const Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.map.find(k.h1);
-  if (it != s.map.end() && it->second.first == k.h2) {
-    *cost = it->second.second;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void TranspositionCache::insert(const Key& k, double cost) {
-  Stripe& s = stripes_[k.h1 % static_cast<std::uint64_t>(kStripes)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.map.find(k.h1);
-  if (it != s.map.end()) {
-    it->second = {k.h2, cost};  // refresh (h1 collision overwrite is a wash)
-    return;
-  }
-  if (s.map.size() >= kPerStripeCap) {  // full stripe: drop, no evict
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  s.map.emplace(k.h1, std::make_pair(k.h2, cost));
-}
-
-long TranspositionCache::size() const {
-  long total = 0;
-  for (const Stripe& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += static_cast<long>(s.map.size());
-  }
-  return total;
-}
-
-namespace {
-
-// Two independent SplitMix64 absorption chains; per-field salts separate the
-// encoding arrays so e.g. swapping s1 and s2 cannot produce the same key.
-struct DualHash {
-  std::uint64_t h1, h2;
-  explicit DualHash(std::uint64_t tag)
-      : h1(splitmix64(0x9e3779b97f4a7c15ull ^ tag)),
-        h2(splitmix64(0x94d049bb133111ebull ^ tag)) {}
-  void absorb(std::uint64_t salt, const std::vector<int>& v) {
-    h1 = splitmix64(h1 ^ salt);
-    h2 = splitmix64(h2 ^ (salt * 0xbf58476d1ce4e5b9ull));
-    for (int e : v) {
-      const auto u = static_cast<std::uint64_t>(static_cast<std::int64_t>(e));
-      h1 = splitmix64(h1 ^ u);
-      h2 = splitmix64(h2 ^ (u + 0xd6e8feb86659fd93ull));
-    }
-  }
-  void absorb_one(std::uint64_t v) {
-    h1 = splitmix64(h1 ^ v);
-    h2 = splitmix64(h2 ^ (v + 0xd6e8feb86659fd93ull));
-  }
-};
-
-}  // namespace
-
-TranspositionCache::Key TranspositionCache::hash(const SequencePair& sp) {
-  DualHash d(1);
-  d.absorb(2, sp.s1);
-  d.absorb(3, sp.s2);
-  d.absorb(4, sp.shapes);
-  return {d.h1, d.h2};
-}
-
-TranspositionCache::Key TranspositionCache::hash(const BStarTree& tree) {
-  DualHash d(5);
-  d.absorb(6, tree.left);
-  d.absorb(7, tree.right);
-  d.absorb(8, tree.shapes);
-  d.absorb_one(static_cast<std::uint64_t>(tree.root));
-  return {d.h1, d.h2};
 }
 
 // ---------------------------------------------------------------------------
@@ -275,16 +160,14 @@ double RectScorer::hpwl(const std::vector<geom::Rect>& rects,
 // ---------------------------------------------------------------------------
 // SpEvaluator
 
-SpEvaluator::SpEvaluator(const floorplan::Instance& inst, double spacing,
-                         TranspositionCache* tt)
-    : inst_(inst), spacing_(spacing), tt_(tt) {
+SpEvaluator::SpEvaluator(const floorplan::Instance& inst, double spacing)
+    : inst_(inst), spacing_(spacing) {
   scorer_.bind(inst);
 }
 
 double SpEvaluator::cost(const SequencePair& sp) {
   return dispatch_cost(
-      inst_, sp, tt_, "sequence-pair",
-      [&] { return pack(inst_, sp, spacing_); },
+      inst_, "sequence-pair", [&] { return pack(inst_, sp, spacing_); },
       [&] { return eval_delta(sp); }, rects_);
 }
 
@@ -448,16 +331,14 @@ void SpEvaluator::repack(const SequencePair& sp) {
 // ---------------------------------------------------------------------------
 // BStarEvaluator
 
-BStarEvaluator::BStarEvaluator(const floorplan::Instance& inst, double spacing,
-                               TranspositionCache* tt)
-    : inst_(inst), spacing_(spacing), tt_(tt) {
+BStarEvaluator::BStarEvaluator(const floorplan::Instance& inst, double spacing)
+    : inst_(inst), spacing_(spacing) {
   scorer_.bind(inst);
 }
 
 double BStarEvaluator::cost(const BStarTree& tree) {
   return dispatch_cost(
-      inst_, tree, tt_, "b*-tree",
-      [&] { return pack_bstar(inst_, tree, spacing_); },
+      inst_, "b*-tree", [&] { return pack_bstar(inst_, tree, spacing_); },
       [&] { return eval_delta(tree); }, rects_);
 }
 

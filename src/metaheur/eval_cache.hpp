@@ -20,11 +20,6 @@
 //    reports which blocks' rects moved.  A B* move disturbs the preorder
 //    early, so replaying only a suffix measured no faster (16-250 blocks).
 //  * floorplan::HpwlCache re-scans only nets adjacent to moved blocks.
-//  * TranspositionCache memoizes encoding -> cost across restarts/replicas
-//    of one job (dual-SplitMix64 128-bit keys, striped locks).  Cached
-//    costs are pure functions of the key, so sharing the cache across pool
-//    threads cannot perturb results: 1-thread and N-thread runs stay
-//    bitwise identical.
 //
 // Mode selection follows the simd_parity harness pattern: AFP_EVAL=
 // full|delta|check (default delta).  `full` is the legacy recompute,
@@ -34,10 +29,6 @@
 // Both evaluators' cost() run one shared dispatch over these three modes.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "metaheur/bstar.hpp"
@@ -54,49 +45,14 @@ EvalMode eval_mode();
 void set_eval_mode(EvalMode mode);
 const char* to_string(EvalMode mode);
 
-/// Memoizes encoding -> cost across the restarts and replicas of one job.
-/// Keys are two independent SplitMix64 hashes of the encoding arrays (an
-/// effective 128-bit key, collision odds negligible at cache scale); the
-/// table is striped over mutexes so parallel-tempering replicas on the
-/// pool share it without serializing.  Bounded: inserts into a full stripe
-/// are dropped, so memory is capped and no eviction policy can introduce
-/// cross-run variance.  Hit or miss never changes a result — the cached
-/// value is exactly what a recompute would produce — which is what makes a
-/// shared cache safe under the bitwise thread-invariance contract.
+/// A stub kept only because the benchmark's traced pass
+/// (afpbench/replica.cpp) still constructs one and reads its counters; the
+/// search reads no cache, so it counts no lookups.  Delete it, and
+/// SearchBudget::tt, once the benchmark stops using them.
 class TranspositionCache {
  public:
-  struct Key {
-    std::uint64_t h1 = 0;
-    std::uint64_t h2 = 0;
-  };
-
-  bool lookup(const Key& k, double* cost) const;
-  void insert(const Key& k, double cost);
-
-  long hits() const { return hits_.load(std::memory_order_relaxed); }
-  long misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Inserts dropped because the target stripe was full — the bounded
-  /// table's stand-in for an eviction count (nothing is ever evicted).
-  long dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  long size() const;
-
-  static Key hash(const SequencePair& sp);
-  static Key hash(const BStarTree& tree);
-
- private:
-  static constexpr int kStripes = 64;
-  /// 2^18 entries in all, split evenly over the stripes.
-  static constexpr std::size_t kPerStripeCap =
-      (std::size_t{1} << 18) / kStripes;
-  struct Stripe {
-    mutable std::mutex mu;
-    /// h1 -> (h2, cost); an h1 collision with a different h2 is a miss.
-    std::unordered_map<std::uint64_t, std::pair<std::uint64_t, double>> map;
-  };
-  Stripe stripes_[kStripes];
-  mutable std::atomic<long> hits_{0};
-  mutable std::atomic<long> misses_{0};
-  mutable std::atomic<long> dropped_{0};
+  long hits() const { return 0; }
+  long misses() const { return 0; }
 };
 
 namespace detail {
@@ -132,8 +88,7 @@ class RectScorer {
 /// fastest when successive states differ by a move or two.
 class SpEvaluator {
  public:
-  SpEvaluator(const floorplan::Instance& inst, double spacing,
-              TranspositionCache* tt = nullptr);
+  SpEvaluator(const floorplan::Instance& inst, double spacing);
 
   /// Cost of `sp`, bitwise equal to sp_cost(inst, pack(inst, sp, spacing))
   /// in every mode.  In check mode both paths run and must agree exactly.
@@ -154,7 +109,6 @@ class SpEvaluator {
 
   const floorplan::Instance& inst_;
   double spacing_;
-  TranspositionCache* tt_;
   detail::RectScorer scorer_;
 
   bool has_state_ = false;
@@ -192,8 +146,7 @@ inline constexpr int kHpwlDeltaMinBlocks = 20;
 /// blocks whose rect moved.
 class BStarEvaluator {
  public:
-  BStarEvaluator(const floorplan::Instance& inst, double spacing,
-                 TranspositionCache* tt = nullptr);
+  BStarEvaluator(const floorplan::Instance& inst, double spacing);
 
   /// Bitwise equal to sp_cost(inst, pack_bstar(inst, tree, spacing)).
   double cost(const BStarTree& tree);
@@ -203,7 +156,6 @@ class BStarEvaluator {
 
   const floorplan::Instance& inst_;
   double spacing_;
-  TranspositionCache* tt_;
   detail::RectScorer scorer_;
   BStarPacker packer_;
   std::vector<geom::Rect> rects_;

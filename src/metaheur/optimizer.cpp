@@ -237,8 +237,8 @@ void bind_options(OptionBinder& b, PTParams& p) {
 
 /// The one registry adapter: a run_* entry point over its parameter struct
 /// P.  run() copies the configured struct, lets budget.iterations override
-/// the primary budget knob only and threads the budget's stop token and
-/// cache through, so a registry run is bitwise identical to calling run_*
+/// the primary budget knob only and threads the budget's stop token
+/// through, so a registry run is bitwise identical to calling run_*
 /// directly.
 template <typename P>
 class ParamsOptimizer final : public Optimizer {
@@ -261,7 +261,6 @@ class ParamsOptimizer final : public Optimizer {
     P p = p_;
     if (budget.iterations > 0) p.*budget_knob_ = budget.iterations;
     p.stop = budget.stop;
-    p.tt = budget.tt;
     return run_(inst, p, rng);
   }
 

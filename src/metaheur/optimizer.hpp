@@ -13,10 +13,10 @@
 //
 // Parity contract: every built-in is one adapter, ParamsOptimizer<P>, over
 // a run_* entry point and its parameter struct P (all six derive from
-// SearchParams: spacing_um, stop, tt).  Constructed from its name and
+// SearchParams: spacing_um, stop).  Constructed from its name and
 // defaults, it calls run_* with P's defaults (pt-bstar: representation =
-// kBStarTree), overriding only the primary budget knob, stop and tt from
-// the SearchBudget, so results are bitwise identical to a direct run_* call
+// kBStarTree), overriding only the primary budget knob and stop from the
+// SearchBudget, so results are bitwise identical to a direct run_* call
 // for every method, thread count and seed (pinned across commits by
 // tests/search_golden_test.cpp; the option tables by
 // tests/registry_parity_test.cpp).
@@ -35,6 +35,8 @@
 #include "metaheur/tempering.hpp"
 
 namespace afp::metaheur {
+
+class TranspositionCache;  // metaheur/eval_cache.hpp
 
 /// Key=value option map; values are parsed per option (int/double/bool).
 using Options = std::map<std::string, std::string>;
@@ -67,10 +69,9 @@ struct SearchBudget {
   /// early and returns its best-so-far.  Null = never stops (the legacy
   /// paths, bitwise unchanged).
   const CancelToken* stop = nullptr;
-  /// Optional job-scoped transposition cache (metaheur/eval_cache) threaded
-  /// through to every optimizer (GA and PSO never read it) so restarts,
-  /// quanta and PT replicas of one job share memoized costs.  Null = no
-  /// memoization.
+  /// Read by nothing: kept only because the benchmark's traced pass
+  /// (afpbench/replica.cpp) still sets it (see the TranspositionCache stub
+  /// in metaheur/eval_cache.hpp).
   TranspositionCache* tt = nullptr;
 };
 

@@ -26,11 +26,10 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
 
   // Per-replica incremental evaluators (each chain's packing state lives
   // with its chain across rounds; replica exchanges just hand it a bigger
-  // diff).  The transposition cache — if any — is shared: its values are
-  // pure functions of the key, so concurrent replicas stay deterministic.
+  // diff).
   std::vector<typename Chain::Evaluator> evals_by_replica;
   evals_by_replica.reserve(kz(K));
-  for (int k = 0; k < K; ++k) evals_by_replica.emplace_back(inst, spacing, p.tt);
+  for (int k = 0; k < K; ++k) evals_by_replica.emplace_back(inst, spacing);
 
   // Initial states + costs, one replica per chunk (chains never re-enter
   // the pool: nested parallel_for inside pack/sp_cost runs serially there).

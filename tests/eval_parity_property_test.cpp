@@ -3,9 +3,9 @@
 // accept/reject move walks must score bitwise identically through the delta
 // evaluator, the AFP_EVAL=check oracle (which recomputes the legacy path on
 // every call and throws std::logic_error on any cost or rect divergence),
-// and a from-scratch pack + sp_cost done here.  Separately, searches that
-// share a transposition cache must stay bitwise thread-invariant (1 vs 4
-// pool threads) and identical to cache-free runs.
+// and a from-scratch pack + sp_cost done here.  Separately, parallel
+// tempering, whose replicas step concurrently, must stay bitwise
+// thread-invariant (1 vs 4 pool threads).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -130,38 +130,6 @@ TEST_P(EvalParityProperty, DeltaMatchesFullOverMoveWalks) {
   }
 }
 
-TEST_P(EvalParityProperty, TranspositionHitsVerifyUnderCheckMode) {
-  // Two evaluators sharing one cache revisit the same states; in check mode
-  // every hit's memoized value is verified bitwise against the oracle
-  // inside the evaluator (a mismatch throws), so this walk passing means
-  // the cache never served a wrong cost.
-  const auto& param = GetParam();
-  const auto inst = instance_of(param.circuit);
-  ScopedEvalMode scoped(metaheur::EvalMode::kCheck);
-  metaheur::TranspositionCache tt;
-  for (int pass = 0; pass < 2; ++pass) {
-    std::mt19937_64 rng(99);  // same seed: pass 2 replays pass 1's states
-    if (param.rep == metaheur::Representation::kBStarTree) {
-      metaheur::BStarEvaluator ev(inst, 0.0, &tt);
-      auto t = metaheur::BStarTree::random(inst.num_blocks(), rng);
-      for (int step = 0; step < kWalkLength; ++step) {
-        std::uniform_int_distribution<int> d(0, metaheur::kNumBStarMoves - 1);
-        apply_bstar_move(t, static_cast<metaheur::BStarMove>(d(rng)), rng);
-        ev.cost(t);
-      }
-    } else {
-      metaheur::SpEvaluator ev(inst, 0.0, &tt);
-      auto s = metaheur::SequencePair::random(inst.num_blocks(), rng);
-      for (int step = 0; step < kWalkLength; ++step) {
-        std::uniform_int_distribution<int> d(0, metaheur::kNumMoves - 1);
-        apply_move(s, static_cast<metaheur::Move>(d(rng)), rng);
-        ev.cost(s);
-      }
-    }
-  }
-  EXPECT_GT(tt.hits(), 0);  // the replayed pass must actually hit
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Representations, EvalParityProperty,
     ::testing::Values(
@@ -219,51 +187,22 @@ void expect_same_result(const metaheur::BaselineResult& a,
   EXPECT_EQ(a.evaluations, b.evaluations) << what;
 }
 
-TEST(TranspositionDeterminism, SharedCacheIsThreadInvariant) {
-  // PT replicas step concurrently on the pool and share the job cache; the
-  // ensemble must stay bitwise identical across thread counts — and
-  // identical to a run with no cache at all, since memoized costs are pure
-  // functions of the key.
+TEST(PtDeterminism, ReplicasAreThreadInvariant) {
+  // PT replicas step concurrently on the pool, each with its own evaluator;
+  // the ensemble must stay bitwise identical across thread counts.
   ScopedEvalMode scoped(metaheur::EvalMode::kDelta);
   const auto inst = instance_of("ota2");
-  auto run_with = [&](int threads, metaheur::TranspositionCache* tt) {
+  auto run_with = [&](int threads) {
     metaheur::PTParams p;
     p.replicas = 4;
     p.iterations = 200;
-    p.tt = tt;
     num::set_num_threads(threads);
     std::mt19937_64 rng(42);
     auto r = run_pt(inst, p, rng);
     num::set_num_threads(0);  // restore the ambient default
     return r;
   };
-  metaheur::TranspositionCache tt1, tt4;
-  const auto r1 = run_with(1, &tt1);
-  const auto r4 = run_with(4, &tt4);
-  expect_same_result(r1, r4, "pt 1 vs 4 threads, shared tt");
-  const auto bare = run_with(4, nullptr);
-  expect_same_result(r1, bare, "pt with tt vs without");
-}
-
-TEST(TranspositionDeterminism, CacheDoesNotPerturbSa) {
-  // A single SA chain with and without the memo must agree bitwise, in both
-  // the delta mode and under the check oracle.
-  const auto inst = instance_of("bias2");
-  for (const auto mode :
-       {metaheur::EvalMode::kDelta, metaheur::EvalMode::kCheck}) {
-    ScopedEvalMode scoped(mode);
-    metaheur::SAParams p;
-    p.iterations = 400;
-    auto run_with = [&](metaheur::TranspositionCache* tt) {
-      metaheur::SAParams q = p;
-      q.tt = tt;
-      std::mt19937_64 rng(7);
-      return run_sa(inst, q, rng);
-    };
-    metaheur::TranspositionCache tt;
-    expect_same_result(run_with(&tt), run_with(nullptr),
-                       std::string("sa, mode ") + to_string(mode));
-  }
+  expect_same_result(run_with(1), run_with(4), "pt 1 vs 4 threads");
 }
 
 }  // namespace

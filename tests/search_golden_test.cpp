@@ -184,11 +184,8 @@ TEST(SearchGolden, MatchesRecordedFingerprints) {
     check(circuit, "hpwl_min", h.value());
     for (const auto& name : metaheur::optimizer_names()) {
       const auto opt = metaheur::make_optimizer(name, budgets().at(name));
-      metaheur::TranspositionCache tt;
-      metaheur::SearchBudget budget;
-      budget.tt = &tt;
       std::mt19937_64 rng(seed);
-      check(circuit, name, fingerprint(opt->run(inst, budget, rng)));
+      check(circuit, name, fingerprint(opt->run(inst, {}, rng)));
     }
     ++seed;
   }

@@ -1,9 +1,10 @@
 // The afpd service stack, bottom-up: the strict JSON parser, the frame
 // codec, the admission policy, and end-to-end sessions against an
 // in-process Server on a unix socket — submit/result bitwise parity with
-// the JobService::run_job path, cancellation, mid-run deadlines, protocol
-// robustness against malformed input, quotas, priorities, drain, and
-// fault-injection isolation between sessions.
+// the JobService::run_job path (registry, scenario and SPICE submits),
+// cancellation, mid-run deadlines, protocol robustness against malformed
+// input, quotas, priorities, drain, and fault-injection isolation between
+// sessions.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -298,16 +299,13 @@ TEST(Admission, DrainRejectsNewAdmitsButParkedStillLaunch) {
 
 // ------------------------------------------------------------ end-to-end ---
 
-// "timings" and "tt_cache" are the report's non-deterministic members.
+// "timings" is the report's one non-deterministic member.
 std::string normalize_timings(std::string report) {
-  for (const char* member : {"\"timings\": {", "\"tt_cache\": {"}) {
-    const std::size_t at = report.find(member);
-    if (at == std::string::npos) continue;
-    const std::size_t open = report.find('{', at);
-    const std::size_t close = report.find('}', open);
-    if (close == std::string::npos) continue;
-    report.replace(open, close - open + 1, "{}");
-  }
+  const std::size_t at = report.find("\"timings\": {");
+  if (at == std::string::npos) return report;
+  const std::size_t open = report.find('{', at);
+  const std::size_t close = report.find('}', open);
+  if (close != std::string::npos) report.replace(open, close - open + 1, "{}");
   return report;
 }
 
@@ -432,7 +430,7 @@ TEST_F(ServiceE2E, ScenarioSubmitMatchesInProcessGeneration) {
   EXPECT_EQ(res.status, "done");
 
   // The served report must be byte-identical to generating the scenario
-  // here and running the same job in process (modulo timings/tt_cache).
+  // here and running the same job in process (modulo timings).
   const auto sc =
       afp::ingest::make_scenario(afp::ingest::ScenarioSpec::parse(spec_text));
   core::JobSpec spec;
@@ -467,6 +465,31 @@ TEST_F(ServiceE2E, ScenarioSubmitMatchesInProcessGeneration) {
   }
   const auto again = client.submit_scenario("ota:6:1", 5, 0, config_json(40));
   EXPECT_EQ(client.await_result(again.job).status, "done");
+}
+
+TEST_F(ServiceE2E, SpiceSubmitMatchesInProcessParse) {
+  start_server({});
+  Client client = connect();
+  const std::string deck = netlist::make_ota2().to_spice();
+  const auto acc = client.submit_spice(deck, "ota2_deck", 31, 0,
+                                       config_json(60));
+  const Client::Result res = client.await_result(acc.job);
+  EXPECT_EQ(res.status, "done");
+  EXPECT_EQ(res.error_kind, "");
+
+  // The served report must be byte-identical to parsing the same deck here
+  // and running the same job in process (modulo timings).
+  core::JobSpec spec;
+  spec.name = "ota2_deck";
+  spec.netlist = netlist::Netlist::from_spice(deck);
+  spec.config.search.budget.iterations = 60;
+  const core::JobReport rep =
+      core::JobService::run_job(spec, 0, 31, nullptr, {});
+  EXPECT_EQ(rep.status, core::JobStatus::kDone);
+  EXPECT_EQ(normalize_timings(res.report_raw),
+            normalize_timings(core::report_json(rep.result, rep.name,
+                                                rep.optimizer, rep.options,
+                                                rep.search, rep.seed)));
 }
 
 TEST_F(ServiceE2E, SeedlessSubmitsDeriveDistinctSeeds) {

@@ -83,16 +83,13 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-// "timings" and "tt_cache" are the report's non-deterministic members.
+// "timings" is the report's one non-deterministic member.
 std::string normalize_timings(std::string report) {
-  for (const char* member : {"\"timings\": {", "\"tt_cache\": {"}) {
-    const std::size_t at = report.find(member);
-    if (at == std::string::npos) continue;
-    const std::size_t open = report.find('{', at);
-    const std::size_t close = report.find('}', open);
-    if (close == std::string::npos) continue;
-    report.replace(open, close - open + 1, "{}");
-  }
+  const std::size_t at = report.find("\"timings\": {");
+  if (at == std::string::npos) return report;
+  const std::size_t open = report.find('{', at);
+  const std::size_t close = report.find('}', open);
+  if (close != std::string::npos) report.replace(open, close - open + 1, "{}");
   return report;
 }
 

@@ -76,18 +76,14 @@ struct JobOutcome {
   std::string report;  ///< raw report bytes, sliced from the result frame
 };
 
-// "timings" and "tt_cache" are the report's documented non-deterministic
-// members (wall clocks; thread-schedule-dependent hit/miss splits); blank
-// both before byte-comparing two runs of the same job.
+// "timings" is the report's one documented non-deterministic member (wall
+// clocks); blank it before byte-comparing two runs of the same job.
 std::string normalize_timings(std::string report) {
-  for (const char* member : {"\"timings\": {", "\"tt_cache\": {"}) {
-    const std::size_t at = report.find(member);
-    if (at == std::string::npos) continue;
-    const std::size_t open = report.find('{', at);
-    const std::size_t close = report.find('}', open);
-    if (close == std::string::npos) continue;
-    report.replace(open, close - open + 1, "{}");
-  }
+  const std::size_t at = report.find("\"timings\": {");
+  if (at == std::string::npos) return report;
+  const std::size_t open = report.find('{', at);
+  const std::size_t close = report.find('}', open);
+  if (close != std::string::npos) report.replace(open, close - open + 1, "{}");
   return report;
 }
 
