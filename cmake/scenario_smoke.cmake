@@ -1,6 +1,7 @@
 # Workload-ingestion smoke: the checked-in example deck must run end to end
 # through `afp_cli ingest` with a schema-valid JSON report, the checked-in
-# malformed deck must exit 2 with a file:line diagnostic, and a 3-family x
+# malformed deck must exit 2 with a file:line diagnostic from `ingest` and
+# exit 1 naming its unterminated .subckt from `floorplan`, and a 3-family x
 # 2-size scenario matrix must produce bitwise-identical batch reports at
 # AFP_NUM_THREADS 1 and 4 (modulo the runtime members: timings, runtime_s
 # and the recorded thread count).
@@ -56,6 +57,22 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "broken_unterminated.sp:3")
   message(FATAL_ERROR "malformed-deck diagnostic lost its file:line:\n${err}")
+endif()
+# The floorplan command's reader (Netlist::from_spice) rejects it as well.
+execute_process(
+  COMMAND ${AFP_CLI} floorplan ${EXAMPLES_DIR}/broken_unterminated.sp
+          --seed 1
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR
+    "floorplan of the malformed deck must exit 1, got rc ${rc}: "
+    "${out}\n${err}")
+endif()
+if(NOT err MATCHES "unterminated \\.subckt 'stage'")
+  message(FATAL_ERROR
+    "floorplan's malformed-deck error does not name the .subckt:\n${err}")
 endif()
 
 # --- 3. scenario matrix: 1- vs 4-thread bitwise batch reports ------------

@@ -95,7 +95,8 @@ std::string report_json(const PipelineResult& res, const std::string& circuit,
      << ", \"constraint_items\": " << res.eval.constraint_items << "},\n";
   os << "  \"route\": {\"wirelength\": " << num(res.route.total_wirelength)
      << ", \"failed_nets\": " << res.route.failed_nets
-     << ", \"expanded\": " << res.route.expanded << "},\n";
+     << ", \"expanded\": " << res.route.expanded
+     << ", \"vertices\": " << res.route.vertices << "},\n";
   os << "  \"layout\": {\"wires\": " << res.layout.wires.size()
      << ", \"vias\": " << res.layout.vias.size() << ", \"drc_clean\": "
      << (res.drc.clean() ? "true" : "false") << ", \"lvs_clean\": "

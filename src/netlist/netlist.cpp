@@ -177,7 +177,7 @@ Netlist Netlist::from_spice(const std::string& text) {
       in_subckt = true;
       continue;
     }
-    if (head == ".ENDS") break;
+    if (head == ".ENDS") return nl;
     if (!in_subckt) {
       throw std::runtime_error("device statement outside .subckt: " + line);
     }
@@ -206,6 +206,10 @@ Netlist Netlist::from_spice(const std::string& text) {
       throw std::runtime_error("unsupported device kind in: " + line);
     }
     nl.add_device(std::move(d));
+  }
+  if (in_subckt) {
+    throw std::runtime_error("unterminated .subckt '" + nl.name() +
+                             "' (missing .ends)");
   }
   return nl;
 }

@@ -82,7 +82,8 @@ class Netlist {
 
   /// Serializes to the SPICE-like text format.
   std::string to_spice() const;
-  /// Parses one .subckt from text.  Throws std::runtime_error on errors.
+  /// Parses one .subckt, up to its .ends, from text.  Throws
+  /// std::runtime_error on errors, a .subckt without .ends among them.
   static Netlist from_spice(const std::string& text);
 
  private:

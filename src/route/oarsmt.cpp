@@ -129,19 +129,21 @@ class EscapeGraph {
       const geom::Rect s = o.inflated(-clearance);
       if (!s.empty()) obstacles_.push_back(s);
     }
-    std::set<double> xset, yset;
+    const std::size_t nlines = terminals.size() + 2 * obstacles_.size();
+    xs_.reserve(nlines);
+    ys_.reserve(nlines);
     for (const auto& t : terminals) {
-      xset.insert(t.x);
-      yset.insert(t.y);
+      xs_.push_back(t.x);
+      ys_.push_back(t.y);
     }
     for (const auto& o : obstacles_) {
-      xset.insert(o.x - clearance);
-      xset.insert(o.right() + clearance);
-      yset.insert(o.y - clearance);
-      yset.insert(o.top() + clearance);
+      xs_.push_back(o.x - clearance);
+      xs_.push_back(o.right() + clearance);
+      ys_.push_back(o.y - clearance);
+      ys_.push_back(o.top() + clearance);
     }
-    xs_.assign(xset.begin(), xset.end());
-    ys_.assign(yset.begin(), yset.end());
+    snap_lines(xs_);
+    snap_lines(ys_);
     nx_ = static_cast<int>(xs_.size());
     ny_ = static_cast<int>(ys_.size());
     // Occlusion bitmaps are range-marked per obstacle instead of testing
@@ -176,10 +178,11 @@ class EscapeGraph {
             ys_[v / static_cast<std::size_t>(nx_)]};
   }
 
-  /// Nearest graph vertex to `p` (terminals are members by construction).
+  /// Nearest graph vertex to `p` (terminals are members by construction,
+  /// up to the snap).
   std::size_t vertex_of(const geom::Point& p) const {
-    const auto xi = std::lower_bound(xs_.begin(), xs_.end(), p.x - 1e-9);
-    const auto yi = std::lower_bound(ys_.begin(), ys_.end(), p.y - 1e-9);
+    const auto xi = std::lower_bound(xs_.begin(), xs_.end(), p.x - kLineSnap);
+    const auto yi = std::lower_bound(ys_.begin(), ys_.end(), p.y - kLineSnap);
     const int i = static_cast<int>(std::min<std::ptrdiff_t>(
         xi - xs_.begin(), nx_ - 1));
     const int j = static_cast<int>(std::min<std::ptrdiff_t>(
@@ -278,6 +281,17 @@ class EscapeGraph {
   }
 
  private:
+  /// Sorts one axis's coordinates and keeps each only when it lies
+  /// kLineSnap or more above the last one kept.
+  static void snap_lines(std::vector<double>& lines) {
+    std::sort(lines.begin(), lines.end());
+    std::size_t kept = 0;
+    for (const double c : lines) {
+      if (kept == 0 || c - lines[kept - 1] >= kLineSnap) lines[kept++] = c;
+    }
+    lines.resize(kept);
+  }
+
   /// Marks every (x, y) grid cell covered by the half-open obstacle span,
   /// exactly reproducing Rect::contains on each coordinate pair.
   static void mark_covered(const std::vector<double>& xcoords,
@@ -351,17 +365,19 @@ class EscapeGraph {
   std::vector<bool> hblocked_, vblocked_;  ///< edge midpoint inside one
 };
 
-/// route_net over a caller-owned scratch; adds its heap pops to `pops`.
+/// route_net over a caller-owned scratch; adds its escape graph's size to
+/// `vertices` and its heap pops to `pops`.
 SteinerTree route_in_scratch(std::span<const geom::Point> terminals,
                              std::span<const geom::Rect> obstacles,
                              double clearance, RouteScratch& scratch,
-                             std::uint64_t& pops) {
+                             std::uint64_t& vertices, std::uint64_t& pops) {
   SteinerTree tree;
   if (terminals.size() < 2) {
     for (const auto& t : terminals) tree.nodes.push_back(t);
     return tree;
   }
   const EscapeGraph g(terminals, obstacles, clearance);
+  vertices += g.num_vertices();
   scratch.fit(g.num_vertices());
 
   std::vector<std::size_t> term_v;
@@ -428,8 +444,9 @@ SteinerTree route_net(std::span<const geom::Point> terminals,
                       std::span<const geom::Rect> obstacles,
                       double clearance) {
   RouteScratch scratch;
-  std::uint64_t pops = 0;
-  return route_in_scratch(terminals, obstacles, clearance, scratch, pops);
+  std::uint64_t vertices = 0, pops = 0;
+  return route_in_scratch(terminals, obstacles, clearance, scratch, vertices,
+                          pops);
 }
 
 std::vector<Conduit> to_conduits(const SteinerTree& tree,
@@ -461,6 +478,7 @@ std::vector<Conduit> to_conduits(const SteinerTree& tree,
     for (const Seg& s : segs) {
       if (!out.empty() && std::abs(out.back().fixed - s.fixed) < 1e-12 &&
           s.lo <= out.back().hi + 1e-12) {
+        out.back().lo = std::min(out.back().lo, s.lo);
         out.back().hi = std::max(out.back().hi, s.hi);
       } else {
         out.push_back(s);
@@ -523,13 +541,15 @@ GlobalRoute global_route(const floorplan::Instance& inst,
       SteinerTree tree;
       try {
         tree = route_in_scratch(pins, gather_obstacles(windowed),
-                                kDefaultClearance, scratch, gr.expanded);
+                                kDefaultClearance, scratch, gr.vertices,
+                                gr.expanded);
       } catch (const std::runtime_error&) {
         // A pin walled in by window-boundary obstacles may still escape on
         // the full graph; retry once before declaring the net failed.
         if (!windowed) throw;
         tree = route_in_scratch(pins, gather_obstacles(false),
-                                kDefaultClearance, scratch, gr.expanded);
+                                kDefaultClearance, scratch, gr.vertices,
+                                gr.expanded);
       }
       gr.total_wirelength += tree.length();
       const auto cs = to_conduits(tree, name);

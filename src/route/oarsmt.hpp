@@ -2,7 +2,8 @@
 // router (Section IV-E; as in [13]).
 //
 // Per net: an escape graph is built from the Hanan coordinates of the
-// terminals plus the (slightly inflated) obstacle boundaries; terminals
+// terminals plus the (slightly inflated) obstacle boundaries, with lines
+// closer than kLineSnap collapsed onto the lowest of them; terminals
 // are connected one at a time via shortest paths over the graph
 // (nearest-terminal-first Steiner construction).  The resulting tree is
 // segmented into per-layer conduits that guide detailed routing:
@@ -52,6 +53,15 @@ struct Conduit {
 /// Obstacle shrink that keeps edges along block boundaries legal.
 inline constexpr double kDefaultClearance = 0.05;
 
+/// Hanan lines closer than this (um) are one line.  A block edge that two
+/// different float sums reach lands an ulp or so apart; kept apart, the
+/// two lines would double the grid rows between them and leave ulp-long
+/// tree edges.  The escape graph keeps a sorted coordinate only when it
+/// lies at least this far above the last one kept, and looks a point's
+/// vertex up with the same tolerance, so a terminal in a collapsed cluster
+/// maps onto the cluster's lowest line.
+inline constexpr double kLineSnap = 1e-9;
+
 /// Routes one net.  `terminals` are pin locations; `obstacles` are regions
 /// the route must not cross (they are shrunk by `clearance` so edges along
 /// block boundaries remain legal).  Throws std::runtime_error when some
@@ -84,6 +94,9 @@ struct GlobalRoute {
   /// Heap pops over both search passes, all nets and all Steiner rounds
   /// (failed attempts included): a deterministic measure of routing work.
   std::uint64_t expanded = 0;
+  /// Escape-graph vertices built, summed over nets (a windowed attempt and
+  /// its full-canvas retry both count): the graphs' deterministic size.
+  std::uint64_t vertices = 0;
 };
 
 /// Routes every net of the instance over the placed blocks.  Blocks not on

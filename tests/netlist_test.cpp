@@ -100,6 +100,16 @@ TEST(Spice, MalformedThrows) {
       std::runtime_error);
 }
 
+TEST(Spice, UnterminatedSubcktThrows) {
+  try {
+    Netlist::from_spice(
+        ".subckt stage in out\nM1 out in VSS VSS nmos W=2.0 L=1.0\n");
+    FAIL() << "a .subckt without .ends parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unterminated .subckt 'stage' (missing .ends)");
+  }
+}
+
 TEST(Spice, FingerCountIsRangeChecked) {
   auto deck = [](const std::string& nf) {
     return ".subckt x a b\nM1 a b a a nmos W=1.0 L=0.18 NF=" + nf +

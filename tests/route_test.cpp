@@ -15,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "graphir/graph.hpp"
 #include "ingest/scenario.hpp"
@@ -78,8 +79,11 @@ bool segment_crosses(const geom::Point& a, const geom::Point& b,
 /// Dijkstra in (dist, id) order over the whole escape graph each Steiner
 /// round, accepting a relaxation only when it improves a distance by more
 /// than 1e-12, with vertices and edge midpoints tested against every
-/// shrunk obstacle.  route_net's bounded two-pass search must return the
-/// identical tree, and throw exactly when this does.
+/// shrunk obstacle.  Its Hanan lines are snapped as the graph's are (a
+/// sorted coordinate is kept only kLineSnap or more above the last one
+/// kept), since the snap shapes the graph, not the search.  route_net's
+/// bounded two-pass search must return the identical tree, and throw
+/// exactly when this does.
 SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
                              std::span<const geom::Rect> obstacles,
                              double clearance = kDefaultClearance) {
@@ -89,22 +93,30 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
     return tree;
   }
   std::vector<geom::Rect> shrunk;
-  std::set<double> xset, yset;
+  std::vector<double> xcoords, ycoords;
   for (const auto& t : terminals) {
-    xset.insert(t.x);
-    yset.insert(t.y);
+    xcoords.push_back(t.x);
+    ycoords.push_back(t.y);
   }
   for (const auto& o : obstacles) {
     const geom::Rect s = o.inflated(-clearance);
     if (s.empty()) continue;
     shrunk.push_back(s);
-    xset.insert(s.x - clearance);
-    xset.insert(s.right() + clearance);
-    yset.insert(s.y - clearance);
-    yset.insert(s.top() + clearance);
+    xcoords.push_back(s.x - clearance);
+    xcoords.push_back(s.right() + clearance);
+    ycoords.push_back(s.y - clearance);
+    ycoords.push_back(s.top() + clearance);
   }
-  const std::vector<double> xs(xset.begin(), xset.end());
-  const std::vector<double> ys(yset.begin(), yset.end());
+  auto snap = [](std::vector<double> coords) {
+    std::sort(coords.begin(), coords.end());
+    std::vector<double> lines;
+    for (const double c : coords) {
+      if (lines.empty() || c - lines.back() >= kLineSnap) lines.push_back(c);
+    }
+    return lines;
+  };
+  const std::vector<double> xs = snap(std::move(xcoords));
+  const std::vector<double> ys = snap(std::move(ycoords));
   const int nx = static_cast<int>(xs.size());
   const int ny = static_cast<int>(ys.size());
   const std::size_t nv = xs.size() * ys.size();
@@ -118,9 +130,9 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
     return geom::Point{xs[v % xs.size()], ys[v / xs.size()]};
   };
   auto vertex_of = [&](const geom::Point& p) {
-    const auto i = std::lower_bound(xs.begin(), xs.end(), p.x - 1e-9) -
+    const auto i = std::lower_bound(xs.begin(), xs.end(), p.x - kLineSnap) -
                    xs.begin();
-    const auto j = std::lower_bound(ys.begin(), ys.end(), p.y - 1e-9) -
+    const auto j = std::lower_bound(ys.begin(), ys.end(), p.y - kLineSnap) -
                    ys.begin();
     return static_cast<std::size_t>(std::min<std::ptrdiff_t>(j, ny - 1)) *
                xs.size() +
@@ -358,6 +370,21 @@ TEST(ToConduits, SplitsByOrientationAndMerges) {
   EXPECT_EQ(vcount, 1);
 }
 
+TEST(ToConduits, KeepsTheRunOfANearEqualSegment) {
+  // Two horizontal edges 2^-52 apart in y merge into one conduit.  The one
+  // at the larger y sorts second although it starts further left, so the
+  // merged run must take its lower end as well as the higher end.
+  SteinerTree t;
+  const double y = 1.0 + 0x1.0p-52;
+  t.nodes = {{5, 1}, {6, 1}, {0, y}, {5.5, y}};
+  t.edges = {{0, 1}, {2, 3}};
+  const auto cs = to_conduits(t, "n1");
+  ASSERT_EQ(cs.size(), 1u);
+  EXPECT_EQ(cs[0].layer, 1);
+  EXPECT_EQ(cs[0].a, (geom::Point{0, 1}));
+  EXPECT_EQ(cs[0].b, (geom::Point{6, 1}));
+}
+
 TEST(BlockPin, EdgesByDirection) {
   const geom::Rect r{0, 0, 4, 2};
   EXPECT_EQ(block_pin(r, 0), (geom::Point{2, 2}));  // N
@@ -504,8 +531,12 @@ TEST(GlobalRoute, WirelengthGrowsWithSpread) {
 // below.  The Table I circuits (under 64 blocks) take the full-canvas
 // escape graph; the 100- and 250-block scenarios take the windowed one,
 // and their seeded overlaps wall some pins in, so the full-canvas retry
-// and the failure path are pinned as well.  A second table pins
-// GlobalRoute::expanded, the router's heap-pop count: a change that makes
+// and the failure path are pinned as well.  One Table I circuit and one
+// 100-block scenario are also placed with every block abutting its
+// neighbours, as the packers place them: their shared edges reach the
+// escape graph through different float sums, so they pin the line snap.
+// Two more tables pin GlobalRoute::expanded, the router's heap-pop count,
+// and GlobalRoute::vertices, the escape graphs' size: a change that makes
 // routing do more work fails a deterministic count instead of a noisy
 // timer.  A change that moves routes or work on purpose re-records the
 // tables: the failure message lists every mismatching row.
@@ -571,15 +602,16 @@ struct RouteCase {
 };
 
 /// Seeded shelf placement: blocks in a shuffled order, each on a seeded
-/// candidate shape, packed into rows with seeded gaps in [-0.3, 1.7] um.
-/// Raw mt19937_64 words only (its output is fixed by the standard; the
-/// <random> distributions are not), so the placement is the same on every
-/// toolchain.
+/// candidate shape, packed into rows with seeded gaps in [-0.3, 1.7] um,
+/// or with no gaps when `abut`.  Raw mt19937_64 words only (its output is
+/// fixed by the standard; the <random> distributions are not), so the
+/// placement is the same on every toolchain.
 std::vector<geom::Rect> shelf_placement(const floorplan::Instance& inst,
-                                        std::uint64_t seed) {
+                                        std::uint64_t seed, bool abut) {
   std::mt19937_64 rng(seed);
   auto gap = [&] {
-    return static_cast<double>(rng() >> 11) * 0x1.0p-53 * 2.0 - 0.3;
+    return abut ? 0.0
+                : static_cast<double>(rng() >> 11) * 0x1.0p-53 * 2.0 - 0.3;
   };
   const std::size_t n = inst.blocks.size();
   std::vector<std::size_t> order(n);
@@ -604,27 +636,34 @@ std::vector<geom::Rect> shelf_placement(const floorplan::Instance& inst,
   return rects;
 }
 
-RouteCase make_case(const netlist::Netlist& nl, std::uint64_t seed) {
+RouteCase make_case(const netlist::Netlist& nl, std::uint64_t seed,
+                    bool abut = false) {
   const auto g = graphir::build_graph(nl, structrec::recognize(nl));
   RouteCase rc;
   rc.inst = floorplan::make_instance(g);
-  rc.rects = shelf_placement(rc.inst, seed);
+  rc.rects = shelf_placement(rc.inst, seed, abut);
   for (const auto& node : g.nodes) rc.dirs.push_back(node.routing_direction);
   return rc;
 }
 
+/// Suffix of the cases whose blocks abut (zero-gap shelves).
+constexpr std::string_view kAbut = "/abut";
+
 /// Case names: a Table I circuit or a scenario spec, then "#" and the
-/// placement seed.
+/// placement seed, then kAbut for a zero-gap placement.
 std::map<std::string, RouteCase> route_cases() {
+  constexpr std::array<std::string_view, 6> kTableI = {
+      "ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"};
   std::map<std::string, RouteCase> cases;
-  for (const char* circuit :
-       {"ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"}) {
+  for (const auto& e : netlist::circuit_registry()) {
+    if (std::find(kTableI.begin(), kTableI.end(), e.name) == kTableI.end()) {
+      continue;
+    }
     for (const std::uint64_t seed : {1, 2}) {
-      for (const auto& e : netlist::circuit_registry()) {
-        if (e.name != circuit) continue;
-        cases[std::string(circuit) + "#" + std::to_string(seed)] =
-            make_case(e.make(), seed);
-      }
+      cases[e.name + "#" + std::to_string(seed)] = make_case(e.make(), seed);
+    }
+    if (e.name == "bias2") {
+      cases[e.name + "#1" + std::string(kAbut)] = make_case(e.make(), 1, true);
     }
   }
   for (const char* spec : {"ota:100:1", "bias:100:2", "latch:100:3",
@@ -633,6 +672,9 @@ std::map<std::string, RouteCase> route_cases() {
     const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse(spec));
     cases[std::string(spec) + "#1"] = make_case(sc.netlist, 1);
   }
+  const auto sc =
+      ingest::make_scenario(ingest::ScenarioSpec::parse("ota:100:1"));
+  cases["ota:100:1#1" + std::string(kAbut)] = make_case(sc.netlist, 1, true);
   return cases;
 }
 
@@ -659,53 +701,84 @@ struct Golden {
   std::uint64_t value;
 };
 
-// Route fingerprints, recorded before the router's bounded search.
+// Route fingerprints, recorded with the snapped Hanan lines.
 constexpr Golden kRouteGolden[] = {
     {"bias1#1", 0xff74b7ae0bcaa3a2ull},
     {"bias1#2", 0xa02bb6a5587eaabfull},
     {"bias2#1", 0xfc2f124f5acdcda9ull},
+    {"bias2#1/abut", 0x92536653dedd8c77ull},
     {"bias2#2", 0xbcee2f8e5f48b6b0ull},
-    {"bias:100:2#1", 0x9a9816cd0d13ac80ull},
-    {"bias:250:6#1", 0x0f0a0c0aee663361ull},
+    {"bias:100:2#1", 0xb2bf2eecf8de13c7ull},
+    {"bias:250:6#1", 0xad4fe0f18985f59dull},
     {"driver#1", 0x857ac0e96900e4a0ull},
-    {"driver#2", 0xa45eae26f324df69ull},
+    {"driver#2", 0xcabdb7df23110148ull},
     {"driver:100:4#1", 0x67b676b728477ef2ull},
     {"driver:250:8#1", 0x36779384d59ba26dull},
     {"latch:100:3#1", 0xc196b2edd3d6523aull},
-    {"latch:250:7#1", 0x7f70161df6cfd841ull},
+    {"latch:250:7#1", 0xe7a9512199425488ull},
     {"ota1#1", 0x26a67bca11a0b709ull},
     {"ota1#2", 0xf3f953dca0c743dfull},
     {"ota2#1", 0xadce1e98c944e332ull},
     {"ota2#2", 0x7c20a6cf0987eec4ull},
     {"ota:100:1#1", 0xf4abc17aa0c5e797ull},
-    {"ota:250:5#1", 0xfc5a79616dec17beull},
+    {"ota:100:1#1/abut", 0x8ffab1cdcf7a1cf2ull},
+    {"ota:250:5#1", 0x897fbfc33241b888ull},
     {"rs_latch#1", 0x811db2c4266f6b32ull},
     {"rs_latch#2", 0x12343126ba5b12c5ull},
 };
 
 // Heap pops (GlobalRoute::expanded), recorded with the bounded two-pass
-// search.
+// search over the snapped lines.
 constexpr Golden kExpandedGolden[] = {
     {"bias1#1", 342},
     {"bias1#2", 427},
     {"bias2#1", 1657},
+    {"bias2#1/abut", 898},
     {"bias2#2", 1849},
-    {"bias:100:2#1", 62701},
-    {"bias:250:6#1", 973120},
+    {"bias:100:2#1", 62693},
+    {"bias:250:6#1", 972692},
     {"driver#1", 2295},
-    {"driver#2", 1063},
+    {"driver#2", 1064},
     {"driver:100:4#1", 185853},
-    {"driver:250:8#1", 2136337},
-    {"latch:100:3#1", 123585},
-    {"latch:250:7#1", 1455974},
+    {"driver:250:8#1", 2136264},
+    {"latch:100:3#1", 123560},
+    {"latch:250:7#1", 1454421},
     {"ota1#1", 98},
     {"ota1#2", 60},
     {"ota2#1", 462},
-    {"ota2#2", 294},
+    {"ota2#2", 289},
     {"ota:100:1#1", 109686},
-    {"ota:250:5#1", 1537071},
+    {"ota:100:1#1/abut", 37096},
+    {"ota:250:5#1", 1537018},
     {"rs_latch#1", 205},
     {"rs_latch#2", 161},
+};
+
+// Escape-graph vertices (GlobalRoute::vertices), recorded with the snapped
+// lines.
+constexpr Golden kVerticesGolden[] = {
+    {"bias1#1", 1133},
+    {"bias1#2", 1152},
+    {"bias2#1", 10341},
+    {"bias2#1/abut", 5724},
+    {"bias2#2", 10781},
+    {"bias:100:2#1", 284796},
+    {"bias:250:6#1", 5073400},
+    {"driver#1", 5727},
+    {"driver#2", 5089},
+    {"driver:100:4#1", 521760},
+    {"driver:250:8#1", 7736241},
+    {"latch:100:3#1", 485646},
+    {"latch:250:7#1", 6954311},
+    {"ota1#1", 190},
+    {"ota1#2", 176},
+    {"ota2#1", 1014},
+    {"ota2#2", 952},
+    {"ota:100:1#1", 396654},
+    {"ota:100:1#1/abut", 187232},
+    {"ota:250:5#1", 6433975},
+    {"rs_latch#1", 341},
+    {"rs_latch#2", 344},
 };
 
 /// Compares `actual` against `table`; returns the rows to paste when any
@@ -741,7 +814,7 @@ TEST(RouteGolden, MatchesRecordedFingerprints) {
     windowed += r.windowed ? 1 : 0;
     (r.windowed ? failed_windowed : failed_full) += r.route.failed_nets;
   }
-  EXPECT_EQ(windowed, 8);
+  EXPECT_EQ(windowed, 9);
   EXPECT_GT(failed_full, 0) << "no full-canvas case walls a pin in";
   EXPECT_GT(failed_windowed, 0) << "no windowed case walls a pin in";
   const std::string bad = mismatches(actual, kRouteGolden,
@@ -753,14 +826,58 @@ TEST(RouteGolden, MatchesRecordedFingerprints) {
 }
 
 TEST(RouteGolden, MatchesRecordedWork) {
-  std::map<std::string, std::uint64_t> actual;
-  for (const auto& [name, r] : routed_cases()) actual[name] = r.route.expanded;
-  const std::string bad = mismatches(actual, kExpandedGolden,
-                                     std::size(kExpandedGolden),
-                                     "    {\"%s\", %llu},\n");
-  EXPECT_TRUE(bad.empty()) << "router heap pops moved; re-record only for a "
-                              "change that moves routing work on purpose:\n"
-                           << bad;
+  std::map<std::string, std::uint64_t> pops, vertices;
+  for (const auto& [name, r] : routed_cases()) {
+    pops[name] = r.route.expanded;
+    vertices[name] = r.route.vertices;
+  }
+  const std::string bad_pops = mismatches(pops, kExpandedGolden,
+                                          std::size(kExpandedGolden),
+                                          "    {\"%s\", %llu},\n");
+  EXPECT_TRUE(bad_pops.empty())
+      << "router heap pops moved; re-record only for a change that moves "
+         "routing work on purpose:\n"
+      << bad_pops;
+  const std::string bad_vertices = mismatches(vertices, kVerticesGolden,
+                                              std::size(kVerticesGolden),
+                                              "    {\"%s\", %llu},\n");
+  EXPECT_TRUE(bad_vertices.empty())
+      << "escape-graph vertices moved; re-record only for a change that "
+         "moves the graphs on purpose:\n"
+      << bad_vertices;
+}
+
+TEST(GlobalRoute, AbuttingBlocksLeaveNoNearDuplicateLines) {
+  // Abutting blocks share edges that the escape graph reaches through
+  // different float sums (a rect's own edge, and its neighbour's edge
+  // shrunk by the clearance and grown back).  Each routed tree comes from
+  // one snapped graph, so no two distinct x (or y) values among its nodes
+  // may lie closer than kLineSnap.
+  auto near_duplicates = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    int n = 0;
+    for (std::size_t k = 1; k < v.size(); ++k) {
+      n += v[k] - v[k - 1] < kLineSnap ? 1 : 0;
+    }
+    return n;
+  };
+  int abutting = 0;
+  for (const auto& [name, r] : routed_cases()) {
+    if (!name.ends_with(kAbut)) continue;
+    ++abutting;
+    ASSERT_FALSE(r.route.trees.empty()) << name;
+    for (std::size_t t = 0; t < r.route.trees.size(); ++t) {
+      std::vector<double> xs, ys;
+      for (const auto& p : r.route.trees[t].nodes) {
+        xs.push_back(p.x);
+        ys.push_back(p.y);
+      }
+      EXPECT_EQ(near_duplicates(xs), 0) << name << " tree " << t << " (x)";
+      EXPECT_EQ(near_duplicates(ys), 0) << name << " tree " << t << " (y)";
+    }
+  }
+  EXPECT_EQ(abutting, 2);
 }
 
 }  // namespace

@@ -304,9 +304,12 @@ void print_result(const core::PipelineResult& res) {
               "reward %.2f | constraints %s\n",
               res.eval.area, res.eval.dead_space * 100.0, res.eval.hpwl,
               res.eval.reward, res.eval.constraints_ok ? "ok" : "VIOLATED");
-  std::printf("routing: %zu/%zu nets | %.1f um | %d failed\n",
+  std::printf("routing: %zu/%zu nets | %.1f um | %d failed | %llu vertices | "
+              "%llu heap pops\n",
               res.route.trees.size(), res.instance.nets.size(),
-              res.route.total_wirelength, res.route.failed_nets);
+              res.route.total_wirelength, res.route.failed_nets,
+              static_cast<unsigned long long>(res.route.vertices),
+              static_cast<unsigned long long>(res.route.expanded));
   std::printf("layout: %zu wires | %zu vias | DRC %s (%zu) | LVS %s "
               "(%zu opens, %zu shorts)\n",
               res.layout.wires.size(), res.layout.vias.size(),
