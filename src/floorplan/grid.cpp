@@ -11,6 +11,12 @@ GridFloorplan::GridFloorplan(const Instance& inst, int n)
   if (n <= 0) throw std::invalid_argument("GridFloorplan: n must be positive");
   mapper_ = {inst.canvas_w, inst.canvas_h, n};
   const int nb = inst.num_blocks();
+  footprints_.reserve(static_cast<std::size_t>(nb) * kNumShapes);
+  for (const Block& block : inst.blocks) {
+    for (const Shape& sh : block.shapes) {
+      footprints_.emplace_back(mapper_.cells_w(sh.w), mapper_.cells_h(sh.h));
+    }
+  }
   pair_of_.resize(static_cast<std::size_t>(nb));
   self_sym_of_.resize(static_cast<std::size_t>(nb));
   align_groups_of_.resize(static_cast<std::size_t>(nb));
@@ -33,28 +39,21 @@ GridFloorplan::GridFloorplan(const Instance& inst, int n)
 void GridFloorplan::reset() {
   placements_.assign(static_cast<std::size_t>(inst_->num_blocks()), {});
   occ_.assign(static_cast<std::size_t>(n_) * n_, 0);
+  occ_sum_.assign(static_cast<std::size_t>(n_ + 1) * (n_ + 1), 0);
   num_placed_ = 0;
   vaxis2_.reset();
   haxis2_.reset();
   align_pin_.assign(inst_->constraints.align_groups.size(), std::nullopt);
 }
 
-std::pair<int, int> GridFloorplan::footprint(int b, int s) const {
-  const Shape& sh =
-      inst_->blocks[static_cast<std::size_t>(b)].shapes[static_cast<std::size_t>(s)];
-  return {mapper_.cells_w(sh.w), mapper_.cells_h(sh.h)};
-}
-
 bool GridFloorplan::fits(int b, int s, int col, int row) const {
   const auto [wg, hg] = footprint(b, s);
   if (col < 0 || row < 0 || col + wg > n_ || row + hg > n_) return false;
-  for (int r = row; r < row + hg; ++r) {
-    const std::uint8_t* line = occ_.data() + static_cast<std::size_t>(r) * n_;
-    for (int c = col; c < col + wg; ++c) {
-      if (line[c]) return false;
-    }
-  }
-  return true;
+  // Occupied cells inside the footprint: four summed-area lookups.
+  const std::size_t w = static_cast<std::size_t>(n_) + 1;
+  const int* lo = occ_sum_.data() + static_cast<std::size_t>(row) * w;
+  const int* hi = lo + static_cast<std::size_t>(hg) * w;
+  return hi[col + wg] - hi[col] - lo[col + wg] + lo[col] == 0;
 }
 
 bool GridFloorplan::constraint_ok(int b, int s, int col, int row) const {
@@ -130,6 +129,18 @@ void GridFloorplan::place(int b, int s, int col, int row) {
     std::uint8_t* line = occ_.data() + static_cast<std::size_t>(r) * n_;
     for (int c = col; c < col + wg; ++c) line[c] = 1;
   }
+  // Rebuild the summed-area table that fits() reads.
+  const std::size_t w = static_cast<std::size_t>(n_) + 1;
+  for (int r = 0; r < n_; ++r) {
+    const std::uint8_t* line = occ_.data() + static_cast<std::size_t>(r) * n_;
+    const int* above = occ_sum_.data() + static_cast<std::size_t>(r) * w;
+    int* sums = occ_sum_.data() + static_cast<std::size_t>(r + 1) * w;
+    int run = 0;
+    for (int c = 0; c < n_; ++c) {
+      run += line[c];
+      sums[c + 1] = above[c + 1] + run;
+    }
+  }
   placements_[static_cast<std::size_t>(b)] = {s, col, row};
   ++num_placed_;
   update_constraint_state(b);
@@ -189,21 +200,36 @@ std::vector<geom::Rect> GridFloorplan::rects() const {
   return out;
 }
 
-double GridFloorplan::partial_dead_space() const {
+namespace {
+
+/// Bounding box and total area of the placed blocks, in block order.
+struct PlacedExtent {
   geom::Rect bb{};
-  bool first = true;
   double used = 0.0;
   int count = 0;
-  for (int b = 0; b < inst_->num_blocks(); ++b) {
-    if (!placed(b)) continue;
-    const geom::Rect r = rect_of(b);
-    bb = first ? r : geom::bounding_union(bb, r);
-    first = false;
-    used += r.area();
-    ++count;
+
+  double dead_space() const {
+    if (count < 2 || bb.area() <= 0.0) return 0.0;
+    return 1.0 - used / bb.area();
   }
-  if (count < 2 || bb.area() <= 0.0) return 0.0;
-  return 1.0 - used / bb.area();
+};
+
+PlacedExtent placed_extent(const GridFloorplan& fp) {
+  PlacedExtent e;
+  for (int b = 0; b < fp.instance().num_blocks(); ++b) {
+    if (!fp.placed(b)) continue;
+    const geom::Rect r = fp.rect_of(b);
+    e.bb = e.count == 0 ? r : geom::bounding_union(e.bb, r);
+    e.used += r.area();
+    ++e.count;
+  }
+  return e;
+}
+
+}  // namespace
+
+double GridFloorplan::partial_dead_space() const {
+  return placed_extent(*this).dead_space();
 }
 
 double GridFloorplan::partial_hpwl() const {
@@ -272,7 +298,28 @@ std::vector<float> normalize_mask(const std::vector<double>& raw,
 }  // namespace
 
 std::vector<float> GridFloorplan::wire_mask(int b, int s) const {
-  const double base = partial_hpwl();
+  // Incremental HPWL: only nets containing b change.  Each such net's box
+  // over its other placed pins is built once; a cell folds in its centre.
+  struct NetBox {
+    double x0, x1, y0, y1, before;
+  };
+  std::vector<NetBox> boxes;
+  for (const auto& net : inst_->nets) {
+    if (std::find(net.begin(), net.end(), b) == net.end()) continue;
+    double x0 = 1e300, x1 = -1e300, y0 = 1e300, y1 = -1e300;
+    int cnt = 0;
+    for (int nb : net) {
+      if (nb == b || !placed(nb)) continue;
+      const geom::Point pc = rect_of(nb).center();
+      x0 = std::min(x0, pc.x);
+      x1 = std::max(x1, pc.x);
+      y0 = std::min(y0, pc.y);
+      y1 = std::max(y1, pc.y);
+      ++cnt;
+    }
+    if (cnt == 0) continue;
+    boxes.push_back({x0, x1, y0, y1, cnt >= 2 ? (x1 - x0) + (y1 - y0) : 0.0});
+  }
   const Shape& sh = inst_->blocks[static_cast<std::size_t>(b)]
                         .shapes[static_cast<std::size_t>(s)];
   std::vector<double> raw(static_cast<std::size_t>(n_) * n_, 0.0);
@@ -284,48 +331,23 @@ std::vector<float> GridFloorplan::wire_mask(int b, int s) const {
       ok[idx] = 1;
       const geom::Point c{mapper_.world_x(col) + sh.w / 2.0,
                           mapper_.world_y(row) + sh.h / 2.0};
-      // Incremental HPWL: only nets containing b change.
       double delta = 0.0;
-      for (const auto& net : inst_->nets) {
-        if (std::find(net.begin(), net.end(), b) == net.end()) continue;
-        double x0 = 1e300, x1 = -1e300, y0 = 1e300, y1 = -1e300;
-        int cnt = 0;
-        for (int nb : net) {
-          if (nb == b || !placed(nb)) continue;
-          const geom::Point pc = rect_of(nb).center();
-          x0 = std::min(x0, pc.x);
-          x1 = std::max(x1, pc.x);
-          y0 = std::min(y0, pc.y);
-          y1 = std::max(y1, pc.y);
-          ++cnt;
-        }
-        if (cnt == 0) continue;
-        const double before = cnt >= 2 ? (x1 - x0) + (y1 - y0) : 0.0;
-        x0 = std::min(x0, c.x);
-        x1 = std::max(x1, c.x);
-        y0 = std::min(y0, c.y);
-        y1 = std::max(y1, c.y);
-        delta += (x1 - x0) + (y1 - y0) - before;
+      for (const NetBox& box : boxes) {
+        const double x0 = std::min(box.x0, c.x);
+        const double x1 = std::max(box.x1, c.x);
+        const double y0 = std::min(box.y0, c.y);
+        const double y1 = std::max(box.y1, c.y);
+        delta += (x1 - x0) + (y1 - y0) - box.before;
       }
       raw[idx] = delta;
-      (void)base;
     }
   }
   return normalize_mask(raw, ok);
 }
 
 std::vector<float> GridFloorplan::dead_space_mask(int b, int s) const {
-  const double ds_before = partial_dead_space();
-  geom::Rect bb{};
-  bool first = true;
-  double used = 0.0;
-  for (int nb = 0; nb < inst_->num_blocks(); ++nb) {
-    if (!placed(nb)) continue;
-    const geom::Rect r = rect_of(nb);
-    bb = first ? r : geom::bounding_union(bb, r);
-    first = false;
-    used += r.area();
-  }
+  const PlacedExtent ext = placed_extent(*this);
+  const double ds_before = ext.dead_space();
   const Shape& sh = inst_->blocks[static_cast<std::size_t>(b)]
                         .shapes[static_cast<std::size_t>(s)];
   std::vector<double> raw(static_cast<std::size_t>(n_) * n_, 0.0);
@@ -337,8 +359,9 @@ std::vector<float> GridFloorplan::dead_space_mask(int b, int s) const {
       ok[idx] = 1;
       const geom::Rect r{mapper_.world_x(col), mapper_.world_y(row), sh.w,
                          sh.h};
-      const geom::Rect nbb = first ? r : geom::bounding_union(bb, r);
-      const double nused = used + r.area();
+      const geom::Rect nbb =
+          ext.count == 0 ? r : geom::bounding_union(ext.bb, r);
+      const double nused = ext.used + r.area();
       const double ds_after =
           nbb.area() > 0.0 ? 1.0 - nused / nbb.area() : 0.0;
       raw[idx] = ds_after - ds_before;

@@ -1,9 +1,11 @@
 // Discretized floorplan state for the RL agent (Section IV-D).
 //
 // The canvas is an n x n grid (n = 32 in the paper).  Blocks occupy
-// ceil-quantized footprints (wg = ceil(w * n / W)); placements record the
-// lower-left cell.  The class maintains:
-//   - occupancy (for the grid view fg and overlap-free masking),
+// ceil-quantized footprints (wg = ceil(w * n / W), tabulated per block and
+// shape at construction); placements record the lower-left cell.  The class
+// maintains:
+//   - occupancy (for the grid view fg) and its summed-area table, so the
+//     overlap test of one footprint is O(1) (Crow, SIGGRAPH 1984),
 //   - symmetry-axis and alignment state for constraint masking (fp),
 //   - incremental HPWL / dead-space bookkeeping for the reward masks
 //     (fw, fds) and the intermediate reward of Eq. (4).
@@ -42,9 +44,12 @@ class GridFloorplan {
   const Instance& instance() const { return *inst_; }
 
   /// Quantized footprint (wg, hg) of block `b` under shape `s`.
-  std::pair<int, int> footprint(int b, int s) const;
+  std::pair<int, int> footprint(int b, int s) const {
+    return footprints_[static_cast<std::size_t>(b) * kNumShapes +
+                       static_cast<std::size_t>(s)];
+  }
 
-  /// Fit + overlap check only (no constraints).
+  /// Fit + overlap check only (no constraints); O(1).
   bool fits(int b, int s, int col, int row) const;
 
   /// Full validity: fit, overlap and constraint masks.
@@ -102,8 +107,12 @@ class GridFloorplan {
   const Instance* inst_;
   int n_;
   geom::GridMapper mapper_;
+  std::vector<std::pair<int, int>> footprints_;  ///< (wg, hg) per block, shape
   std::vector<GridPlacement> placements_;
   std::vector<std::uint8_t> occ_;  ///< n*n occupancy
+  /// (n+1)^2 summed-area table of occ_: entry (r, c) counts the occupied
+  /// cells in rows < r and columns < c.
+  std::vector<int> occ_sum_;
   int num_placed_ = 0;
 
   std::optional<int> vaxis2_;  ///< vertical symmetry axis, half cells

@@ -1,5 +1,6 @@
 #include "nn/distribution.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace afp::nn {
@@ -48,8 +49,11 @@ std::vector<int> MaskedCategorical::sample(std::mt19937_64& rng) const {
     double cum = 0.0;
     int pick = -1;
     for (int i = 0; i < n_; ++i) {
-      cum += std::exp(static_cast<double>(lp[i]));
-      if (u <= cum) {
+      // A masked action's probability underflows to exactly 0; accepting
+      // only positive ones keeps a draw of exactly 0.0 off index 0.
+      const double p = std::exp(static_cast<double>(lp[i]));
+      cum += p;
+      if (p > 0.0 && u <= cum) {
         pick = i;
         break;
       }

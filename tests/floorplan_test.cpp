@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+
+#include "env/env.hpp"
 #include "floorplan/grid.hpp"
+#include "ingest/scenario.hpp"
 #include "netlist/library.hpp"
 
 namespace afp::floorplan {
@@ -373,6 +379,316 @@ TEST(Grid, RealCircuitEpisodeByGreedyMaskFollowing) {
     EXPECT_TRUE(fp.complete()) << name;
     const auto rects = fp.rects();
     EXPECT_DOUBLE_EQ(geom::total_pairwise_overlap(rects), 0.0) << name;
+  }
+}
+
+// ------------------------------------------------------------ mask oracle ---
+// The per-cell mask builders the grid had before its summed-area fits,
+// footprint table and hoisted net boxes, kept as their oracle:
+// every channel, the action mask and the dead-end answer must match them
+// bit for bit on seeded random walks of constrained circuits.
+
+/// One grid state's masks, rebuilt cell by cell.
+class ReferenceMasks {
+ public:
+  explicit ReferenceMasks(const GridFloorplan& fp)
+      : fp_(fp),
+        inst_(fp.instance()),
+        n_(fp.grid_size()),
+        mapper_{inst_.canvas_w, inst_.canvas_h, n_},
+        occ_(fp.occupancy_mask()) {}
+
+  std::pair<int, int> footprint(int b, int s) const {
+    const Shape& sh = shape(b, s);
+    return {mapper_.cells_w(sh.w), mapper_.cells_h(sh.h)};
+  }
+
+  /// Scans every cell of the footprint.
+  bool fits(int b, int s, int col, int row) const {
+    const auto [wg, hg] = footprint(b, s);
+    if (col < 0 || row < 0 || col + wg > n_ || row + hg > n_) return false;
+    for (int r = row; r < row + hg; ++r) {
+      for (int c = col; c < col + wg; ++c) {
+        if (occ_[static_cast<std::size_t>(r) * n_ + c] != 0.0f) return false;
+      }
+    }
+    return true;
+  }
+
+  /// The constraint test itself is private to the grid; valid() supplies
+  /// it once the cell scan has passed.
+  bool valid(int b, int s, int col, int row) const {
+    return fits(b, s, col, row) && fp_.valid(b, s, col, row);
+  }
+
+  std::vector<float> position_mask(int b, int s) const {
+    std::vector<float> m(static_cast<std::size_t>(n_) * n_, 0.0f);
+    for (int row = 0; row < n_; ++row) {
+      for (int col = 0; col < n_; ++col) {
+        if (valid(b, s, col, row)) {
+          m[static_cast<std::size_t>(row) * n_ + col] = 1.0f;
+        }
+      }
+    }
+    return m;
+  }
+
+  bool any_valid_action(int b) const {
+    for (int s = 0; s < kNumShapes; ++s) {
+      for (int row = 0; row < n_; ++row) {
+        for (int col = 0; col < n_; ++col) {
+          if (valid(b, s, col, row)) return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  double partial_dead_space() const {
+    geom::Rect bb{};
+    bool first = true;
+    double used = 0.0;
+    int count = 0;
+    for (int b = 0; b < inst_.num_blocks(); ++b) {
+      if (!fp_.placed(b)) continue;
+      const geom::Rect r = fp_.rect_of(b);
+      bb = first ? r : geom::bounding_union(bb, r);
+      first = false;
+      used += r.area();
+      ++count;
+    }
+    if (count < 2 || bb.area() <= 0.0) return 0.0;
+    return 1.0 - used / bb.area();
+  }
+
+  /// Recomputes every net's placed-pin box at every cell.
+  std::vector<float> wire_mask(int b, int s) const {
+    const Shape& sh = shape(b, s);
+    std::vector<double> raw(static_cast<std::size_t>(n_) * n_, 0.0);
+    std::vector<std::uint8_t> ok(raw.size(), 0);
+    for (int row = 0; row < n_; ++row) {
+      for (int col = 0; col < n_; ++col) {
+        if (!fits(b, s, col, row)) continue;
+        const std::size_t idx = static_cast<std::size_t>(row) * n_ + col;
+        ok[idx] = 1;
+        const geom::Point c{mapper_.world_x(col) + sh.w / 2.0,
+                            mapper_.world_y(row) + sh.h / 2.0};
+        double delta = 0.0;
+        for (const auto& net : inst_.nets) {
+          if (std::find(net.begin(), net.end(), b) == net.end()) continue;
+          double x0 = 1e300, x1 = -1e300, y0 = 1e300, y1 = -1e300;
+          int cnt = 0;
+          for (int nb : net) {
+            if (nb == b || !fp_.placed(nb)) continue;
+            const geom::Point pc = fp_.rect_of(nb).center();
+            x0 = std::min(x0, pc.x);
+            x1 = std::max(x1, pc.x);
+            y0 = std::min(y0, pc.y);
+            y1 = std::max(y1, pc.y);
+            ++cnt;
+          }
+          if (cnt == 0) continue;
+          const double before = cnt >= 2 ? (x1 - x0) + (y1 - y0) : 0.0;
+          x0 = std::min(x0, c.x);
+          x1 = std::max(x1, c.x);
+          y0 = std::min(y0, c.y);
+          y1 = std::max(y1, c.y);
+          delta += (x1 - x0) + (y1 - y0) - before;
+        }
+        raw[idx] = delta;
+      }
+    }
+    return normalize(raw, ok);
+  }
+
+  std::vector<float> dead_space_mask(int b, int s) const {
+    const double ds_before = partial_dead_space();
+    geom::Rect bb{};
+    bool first = true;
+    double used = 0.0;
+    for (int nb = 0; nb < inst_.num_blocks(); ++nb) {
+      if (!fp_.placed(nb)) continue;
+      const geom::Rect r = fp_.rect_of(nb);
+      bb = first ? r : geom::bounding_union(bb, r);
+      first = false;
+      used += r.area();
+    }
+    const Shape& sh = shape(b, s);
+    std::vector<double> raw(static_cast<std::size_t>(n_) * n_, 0.0);
+    std::vector<std::uint8_t> ok(raw.size(), 0);
+    for (int row = 0; row < n_; ++row) {
+      for (int col = 0; col < n_; ++col) {
+        if (!fits(b, s, col, row)) continue;
+        const std::size_t idx = static_cast<std::size_t>(row) * n_ + col;
+        ok[idx] = 1;
+        const geom::Rect r{mapper_.world_x(col), mapper_.world_y(row), sh.w,
+                           sh.h};
+        const geom::Rect nbb = first ? r : geom::bounding_union(bb, r);
+        const double nused = used + r.area();
+        const double ds_after =
+            nbb.area() > 0.0 ? 1.0 - nused / nbb.area() : 0.0;
+        raw[idx] = ds_after - ds_before;
+      }
+    }
+    return normalize(raw, ok);
+  }
+
+ private:
+  const Shape& shape(int b, int s) const {
+    return inst_.blocks[static_cast<std::size_t>(b)]
+        .shapes[static_cast<std::size_t>(s)];
+  }
+
+  static std::vector<float> normalize(const std::vector<double>& raw,
+                                      const std::vector<std::uint8_t>& ok) {
+    double lo = 1e300, hi = -1e300;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (!ok[i]) continue;
+      lo = std::min(lo, raw[i]);
+      hi = std::max(hi, raw[i]);
+    }
+    std::vector<float> m(raw.size(), 1.0f);
+    if (hi <= lo) {
+      for (std::size_t i = 0; i < raw.size(); ++i)
+        if (ok[i]) m[i] = 0.0f;
+      return m;
+    }
+    const double inv = 1.0 / (hi - lo);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (ok[i]) m[i] = static_cast<float>((raw[i] - lo) * inv);
+    }
+    return m;
+  }
+
+  const GridFloorplan& fp_;
+  const Instance& inst_;
+  int n_;
+  geom::GridMapper mapper_;
+  std::vector<float> occ_;
+};
+
+/// Empty when `got` holds `want`'s bits; otherwise names the first
+/// differing float.
+std::string bit_diff(const float* got, const std::vector<float>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(got + i, &want[i], sizeof(float)) != 0) {
+      return "cell " + std::to_string(i) + ": " + std::to_string(got[i]) +
+             " vs " + std::to_string(want[i]);
+    }
+  }
+  return {};
+}
+
+/// Checks one observation, and the grid behind it, against the oracle.
+void expect_observation_matches(const env::FloorplanEnv& e,
+                                const env::Observation& obs,
+                                bool congestion, const std::string& where) {
+  const GridFloorplan& g = e.grid();
+  const ReferenceMasks ref(g);
+  const int b = obs.current_block;
+  const int n = g.grid_size();
+  const std::size_t plane = static_cast<std::size_t>(n) * n;
+  auto channel = [&](int c) { return obs.masks.data() + c * plane; };
+  EXPECT_EQ(bit_diff(channel(0), g.occupancy_mask()), "") << where << " fg";
+  EXPECT_EQ(bit_diff(channel(1), ref.wire_mask(b, 1)), "") << where << " fw";
+  EXPECT_EQ(bit_diff(channel(2), ref.dead_space_mask(b, 1)), "")
+      << where << " fds";
+  for (int s = 0; s < kNumShapes; ++s) {
+    const std::string at = where + " shape " + std::to_string(s);
+    const auto fp = ref.position_mask(b, s);
+    EXPECT_EQ(bit_diff(channel(3 + s), fp), "") << at << " fp";
+    EXPECT_EQ(bit_diff(obs.action_mask.data() + s * plane, fp), "")
+        << at << " action mask";
+    EXPECT_EQ(bit_diff(g.position_mask(b, s).data(), fp), "") << at;
+    EXPECT_EQ(bit_diff(g.wire_mask(b, s).data(), ref.wire_mask(b, s)), "")
+        << at << " wire_mask";
+    EXPECT_EQ(
+        bit_diff(g.dead_space_mask(b, s).data(), ref.dead_space_mask(b, s)),
+        "")
+        << at << " dead_space_mask";
+    EXPECT_EQ(g.footprint(b, s), ref.footprint(b, s)) << at;
+    for (int row = -1; row <= n; ++row) {
+      for (int col = -1; col <= n; ++col) {
+        ASSERT_EQ(g.fits(b, s, col, row), ref.fits(b, s, col, row))
+            << at << " fits at (" << col << ", " << row << ")";
+      }
+    }
+  }
+  if (congestion) {
+    EXPECT_EQ(bit_diff(channel(6), g.congestion_mask()), "") << where;
+  }
+  const double ds = g.partial_dead_space();
+  const double ref_ds = ref.partial_dead_space();
+  EXPECT_EQ(std::memcmp(&ds, &ref_ds, sizeof ds), 0) << where;
+}
+
+/// Places random admissible actions until the episode ends, checking every
+/// observation and every dead-end answer.
+void oracle_walk(const Instance& inst, std::uint64_t seed, bool congestion,
+                 const std::string& label) {
+  env::EnvConfig cfg;
+  cfg.use_congestion_mask = congestion;
+  env::FloorplanEnv e(inst, cfg);
+  const std::vector<int> order = inst.placement_order();
+  std::mt19937_64 rng(seed);
+  env::Observation obs = e.reset();
+  while (!obs.done) {
+    const std::string where = label + " seed " + std::to_string(seed) +
+                              " step " + std::to_string(obs.steps_done);
+    expect_observation_matches(e, obs, congestion, where);
+    std::vector<int> admissible;
+    for (std::size_t i = 0; i < obs.action_mask.size(); ++i) {
+      if (obs.action_mask[i] > 0.5f) admissible.push_back(static_cast<int>(i));
+    }
+    ASSERT_FALSE(admissible.empty()) << where;
+    const int a = admissible[rng() % admissible.size()];
+    env::StepResult res = e.step(a);
+    ASSERT_FALSE(res.violated && !res.done) << where;
+    const int next = res.obs.steps_done;
+    if (next < inst.num_blocks()) {
+      // Not finished: either the next block has an admissible action, or
+      // the episode dead-ended because it has none.
+      const int nb = order[static_cast<std::size_t>(next)];
+      const bool any = ReferenceMasks(e.grid()).any_valid_action(nb);
+      EXPECT_EQ(any, !res.done) << where << " dead-end answer";
+      EXPECT_EQ(e.grid().any_valid_action(nb), any) << where;
+    }
+    obs = std::move(res.obs);
+  }
+}
+
+Instance scenario_instance(const std::string& spec) {
+  const ingest::Scenario sc =
+      ingest::make_scenario(ingest::ScenarioSpec::parse(spec));
+  auto g = graphir::build_graph(sc.netlist, structrec::recognize(sc.netlist));
+  graphir::apply_constraints(g, graphir::resolve(sc.constraints, g));
+  return make_instance(g);
+}
+
+TEST(MaskOracle, TableOneCircuitsMatchCellScans) {
+  for (const char* name :
+       {"ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"}) {
+    netlist::Netlist nl;
+    for (const auto& e : netlist::circuit_registry()) {
+      if (e.name == name) nl = e.make();
+    }
+    const Instance inst = instance_of(nl, /*constrained=*/true);
+    ASSERT_FALSE(inst.constraints.empty()) << name;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      oracle_walk(inst, seed, /*congestion=*/seed == 4, name);
+    }
+  }
+}
+
+TEST(MaskOracle, ScenariosMatchCellScans) {
+  for (const char* spec : {"latch:24:1", "ota:40:2"}) {
+    const Instance inst = scenario_instance(spec);
+    const auto& cs = inst.constraints;
+    ASSERT_FALSE(cs.sym_pairs.empty() && cs.self_syms.empty()) << spec;
+    ASSERT_FALSE(cs.align_groups.empty()) << spec;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      oracle_walk(inst, seed, /*congestion=*/seed == 3, spec);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "nn/distribution.hpp"
 #include "nn/layers.hpp"
@@ -148,6 +149,26 @@ TEST(MaskedCategorical, InvalidActionsNeverSampled) {
     EXPECT_EQ(a[1], 3);
   }
   EXPECT_EQ(dist.mode()[1], 3);
+}
+
+TEST(MaskedCategorical, ZeroDrawNeverPicksAMaskedAction) {
+  // An mt19937_64 whose next output is 0, so the uniform draw is exactly
+  // 0.0: words 0, 1 and 156 of the state are zero and the index (312) forces
+  // a regeneration first.  A masked action has probability exactly 0, so
+  // `u <= cum` holds at index 0 even though action 0 is masked.
+  std::stringstream state;
+  for (int i = 0; i < 312; ++i) {
+    state << (i == 0 || i == 1 || i == 156 ? 0 : i + 1) << ' ';
+  }
+  state << 312;
+  std::mt19937_64 rng;
+  state >> rng;
+  std::mt19937_64 probe = rng;
+  ASSERT_EQ(probe(), 0u);
+  MaskedCategorical dist(num::Tensor::zeros({1, 4}), {0, 1, 1, 1});
+  const int pick = dist.sample(rng)[0];
+  EXPECT_GE(pick, 1);
+  EXPECT_LE(pick, 3);
 }
 
 TEST(MaskedCategorical, LogProbMatchesUniformOverValid) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <map>
+
+#include "core/training.hpp"
 #include "netlist/library.hpp"
+#include "numeric/simd.hpp"
 #include "rl/agent.hpp"
 #include "rl/curriculum.hpp"
 
@@ -253,6 +260,176 @@ TEST(Hcl, UnknownCircuitThrows) {
   cfg.circuits = {"no_such_circuit"};
   HclScheduler sched(cfg, encoder, rng);
   EXPECT_THROW(sched.next_task(rng), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ agent golden ---
+// Pins the agent's bits across commits: a change to the environment's masks,
+// rewards or the rollout must leave every action, reward, rect and trained
+// weight bit where it was.  Each run is reduced to a 64-bit FNV-1a
+// fingerprint and compared with the recorded table; a mismatch prints the
+// rows to re-record, which a change that moves the agent on purpose does.
+
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    add(u);
+  }
+  void add(float x) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    add(static_cast<std::uint64_t>(u));
+  }
+  void add(const geom::Rect& r) {
+    add(r.x);
+    add(r.y);
+    add(r.w);
+    add(r.h);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Pins the portable scalar kernel tier for its scope: the tiers agree only
+/// to a tolerance, and the binary may run under AFP_KERNEL_TIER=naive.
+class ScalarTier {
+ public:
+  ScalarTier() : entry_(num::kernel_tier()) {
+    num::set_kernel_tier(num::KernelTier::kScalar);
+  }
+  ~ScalarTier() { num::set_kernel_tier(entry_); }
+  ScalarTier(const ScalarTier&) = delete;
+  ScalarTier& operator=(const ScalarTier&) = delete;
+
+ private:
+  num::KernelTier entry_;
+};
+
+/// Rolls out one episode as run_episode does and folds every action and
+/// reward, then the finished rects, into `f`.
+void fold_rollout(const ActorCritic& policy, const TaskContext& task,
+                  std::mt19937_64& rng, bool deterministic, Fnv& f) {
+  const int n = policy.config().grid;
+  const int emb = rgcn::kEmbeddingDim;
+  env::FloorplanEnv environment(task.instance);
+  env::Observation obs = environment.reset();
+  num::NoGradGuard ng;
+  while (!obs.done) {
+    const float* nrow = task.node_row(obs.current_block);
+    const auto out = policy.forward(
+        num::Tensor::from_vector({1, environment.mask_channels(), n, n},
+                                 obs.masks),
+        num::Tensor::from_vector({1, emb},
+                                 std::vector<float>(nrow, nrow + emb)),
+        num::Tensor::from_vector({1, emb}, task.graph_emb));
+    nn::MaskedCategorical dist(out.logits, obs.action_mask);
+    const int action = deterministic ? dist.mode()[0] : dist.sample(rng)[0];
+    env::StepResult res = environment.step(action);
+    f.add(static_cast<std::uint64_t>(action));
+    f.add(res.reward);
+    f.add(static_cast<std::uint64_t>(res.violated));
+    if (res.done && res.final_eval) {
+      for (const auto& r : environment.grid().rects()) f.add(r);
+    }
+    obs = std::move(res.obs);
+  }
+}
+
+TaskContext constrained_task(const rgcn::RewardModel& encoder,
+                             const std::string& name) {
+  graphir::CircuitGraph g = graph_of(name);
+  graphir::apply_constraints(g, graphir::default_constraints(g));
+  return make_task(encoder, std::move(g));
+}
+
+std::string golden_row(const std::string& key, std::uint64_t fp) {
+  char row[96];
+  std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull},\n", key.c_str(),
+                static_cast<unsigned long long>(fp));
+  return row;
+}
+
+// Recorded before the environment's masks dropped their per-cell rescans.
+const std::map<std::string, std::uint64_t> kEpisodeGolden = {
+    {"ota1", 0xdb80206a6921e3caull},
+    {"ota2", 0xbbfceb0a98aa853cull},
+    {"bias1", 0x358a0d4349ac3816ull},
+    {"rs_latch", 0x040e37c425400019ull},
+    {"driver", 0x8dea62bcb280532eull},
+    {"bias2", 0xb82f1e4e356578ceull},
+};
+
+TEST(AgentGolden, EpisodesMatchRecordedFingerprints) {
+  // An untrained fast policy on the constrained Table I circuits: one
+  // deterministic and three sampled rollouts per circuit, then
+  // best_of_episodes (deterministic first, then sampled) on a fresh stream.
+  const ScalarTier tier;
+  std::mt19937_64 init(21);
+  rgcn::RewardModel encoder(init);
+  const ActorCritic net(PolicyConfig::fast(), init);
+  std::string mismatches;
+  std::uint64_t seed = 100;
+  for (const char* name :
+       {"ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"}) {
+    const TaskContext task = constrained_task(encoder, name);
+    ASSERT_FALSE(task.instance.constraints.empty()) << name;
+    Fnv f;
+    std::mt19937_64 rng(seed);
+    for (int k = 0; k < 4; ++k) fold_rollout(net, task, rng, k == 0, f);
+    std::mt19937_64 best_rng(seed + 1);
+    const EpisodeResult best = best_of_episodes(net, task, 4, best_rng);
+    f.add(best.total_reward);
+    f.add(best.eval.reward);
+    f.add(static_cast<std::uint64_t>(best.violated));
+    for (const auto& r : best.rects) f.add(r);
+    seed += 2;
+    const auto it = kEpisodeGolden.find(name);
+    if (it == kEpisodeGolden.end() || it->second != f.value()) {
+      mismatches += golden_row(name, f.value());
+    }
+  }
+  EXPECT_TRUE(mismatches.empty())
+      << "agent episodes moved; re-record only for an intended change:\n"
+      << mismatches;
+}
+
+// Recorded before the environment's masks dropped their per-cell rescans.
+constexpr std::uint64_t kTrainingGolden = 0x5c213dafb7ad65c8ull;
+
+TEST(AgentGolden, ShortHclRunMatchesRecordedParameters) {
+  // A short seeded HCL/PPO run through core::train_agent (the path behind
+  // `afp train`), with constraints on in every mixing half.  The
+  // fingerprint covers every encoder and policy parameter bit and the
+  // per-iteration episode counts and mean rewards.
+  const ScalarTier tier;
+  core::TrainOptions opt = core::TrainOptions::fast(/*seed=*/5);
+  opt.hcl.episodes_per_circuit = 6;
+  opt.hcl.p_constraint = 1.0;
+  const core::TrainedAgent agent = core::train_agent(opt);
+  Fnv f;
+  for (const nn::Module* m :
+       {static_cast<const nn::Module*>(agent.encoder.get()),
+        static_cast<const nn::Module*>(agent.policy.get())}) {
+    for (const auto& p : m->parameters()) {
+      for (std::int64_t i = 0; i < p.size(); ++i) f.add(p.data()[i]);
+    }
+  }
+  for (const auto& s : agent.rl_history) {
+    f.add(static_cast<std::uint64_t>(s.episodes));
+    f.add(s.mean_episode_reward);
+  }
+  EXPECT_EQ(f.value(), kTrainingGolden)
+      << "trained parameters moved; re-record only for an intended change:\n"
+      << golden_row("training", f.value());
 }
 
 }  // namespace
