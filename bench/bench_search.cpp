@@ -17,6 +17,7 @@
 #include "core/job_service.hpp"
 #include "metaheur/eval_cache.hpp"
 #include "metaheur/optimizer.hpp"
+#include "metaheur/parallel_search.hpp"
 #include "metaheur/tempering.hpp"
 #include "numeric/parallel.hpp"
 
@@ -142,12 +143,8 @@ int main() {
         std::mt19937_64 rng(seed);
         record("SA", sa->run(inst, {}, rng));
       }
-      record("SAx4", metaheur::run_multistart(
-                         inst,
-                         [&](int, std::mt19937_64& rng) {
-                           return sa_r->run(inst, {}, rng);
-                         },
-                         {kRestarts, seed}));
+      record("SAx4",
+             metaheur::run_multistart(inst, *sa_r, {}, {kRestarts, seed}));
       {
         std::mt19937_64 rng(seed);
         record("PT", pt->run(inst, {}, rng));

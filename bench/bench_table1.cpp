@@ -291,11 +291,10 @@ void BM_SaMultistart4(benchmark::State& state) {
   auto nl = bench::make_circuit("bias2");
   auto g = graphir::build_graph(nl, structrec::recognize(nl));
   const auto inst = floorplan::make_instance(g);
+  const auto sa = metaheur::make_optimizer("sa", {{"iterations", "1000"}});
   for (auto _ : state) {
-    metaheur::SAParams p;
-    p.iterations = 1000;
-    auto res = metaheur::run_sa_multi(inst, p, {/*restarts=*/4,
-                                                /*base_seed=*/2});
+    auto res = metaheur::run_multistart(inst, *sa, {},
+                                        {/*restarts=*/4, /*base_seed=*/2});
     benchmark::DoNotOptimize(res.eval.reward);
   }
 }

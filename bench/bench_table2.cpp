@@ -86,11 +86,7 @@ void run_table2() {
     // Four seeded restarts on the thread pool stand in for the engineer
     // iterating on the floorplan; best-of-restarts is the reference.
     const auto manual = metaheur::run_multistart(
-        prep.instance,
-        [&](int, std::mt19937_64& r) {
-          return manual_sa->run(prep.instance, {}, r);
-        },
-        {/*restarts=*/4, /*base_seed=*/42});
+        prep.instance, *manual_sa, {}, {/*restarts=*/4, /*base_seed=*/42});
     const auto mroute =
         route::global_route(prep.instance, manual.rects);
     const auto mlayout = layoutgen::generate_layout(prep.instance,
@@ -112,12 +108,13 @@ void run_table2() {
     // The strongest classical search at the same spacing budget: multi-start
     // replica exchange, then the same routing + layout generation back half.
     const auto t_pt0 = std::chrono::steady_clock::now();
-    metaheur::PTParams ptp;
-    ptp.iterations = bench::scaled(20000) / ptp.replicas - 1;
-    ptp.spacing_um = prep.instance.canvas_w / 32.0;
-    const auto pt = metaheur::run_pt_multi(prep.instance, ptp,
-                                           {/*restarts=*/4,
-                                            /*base_seed=*/42});
+    const int pt_iters =
+        bench::scaled(20000) / metaheur::PTParams{}.replicas - 1;
+    const auto pt_opt = metaheur::make_optimizer(
+        "pt", {{"iterations", std::to_string(pt_iters)},
+               {"spacing_um", spacing}});
+    const auto pt = metaheur::run_multistart(
+        prep.instance, *pt_opt, {}, {/*restarts=*/4, /*base_seed=*/42});
     const auto ptroute = route::global_route(prep.instance, pt.rects);
     const auto ptlayout = layoutgen::generate_layout(prep.instance, pt.rects,
                                                      ptroute);

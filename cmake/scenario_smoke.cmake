@@ -1,10 +1,10 @@
 # Workload-ingestion smoke: the checked-in example deck must run end to end
-# through `afp_cli ingest` with a schema-valid JSON report, the checked-in
-# malformed deck must exit 2 with a file:line diagnostic from `ingest` and
-# exit 1 naming its unterminated .subckt from `floorplan`, and a 3-family x
-# 2-size scenario matrix must produce bitwise-identical batch reports at
-# AFP_NUM_THREADS 1 and 4 (modulo the runtime members: timings, runtime_s
-# and the recorded thread count).
+# through `afp_cli ingest` with a schema-valid JSON report and floorplan the
+# same through `afp_cli floorplan` (one SPICE reader), the checked-in
+# malformed deck must exit 2 with a file:line diagnostic from both
+# commands, and a 3-family x 2-size scenario matrix must produce
+# bitwise-identical batch reports at AFP_NUM_THREADS 1 and 4 (modulo the
+# runtime members: timings, runtime_s and the recorded thread count).
 #
 # Invoked by CTest as:
 #   cmake -DAFP_CLI=... -DPYTHON=... -DSCHEMA_DIR=... -DEXAMPLES_DIR=...
@@ -44,6 +44,25 @@ if(PYTHON)
   message(STATUS "${vout}")
 endif()
 
+# The floorplan command reads the deck as ingest does: same floorplan line.
+foreach(cmd ingest floorplan)
+  execute_process(
+    COMMAND ${AFP_CLI} ${cmd} ${EXAMPLES_DIR}/two_stage_ota.sp --seed 1
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "${cmd} of the example deck failed (rc ${rc}): ${out}\n${err}")
+  endif()
+  string(REGEX MATCH "floorplan: [^\n]*" line_${cmd} "${out}")
+endforeach()
+if(NOT line_ingest OR NOT line_ingest STREQUAL line_floorplan)
+  message(FATAL_ERROR
+    "floorplan and ingest disagree on the example deck:\n"
+    "ingest:    ${line_ingest}\nfloorplan: ${line_floorplan}")
+endif()
+
 # --- 2. malformed deck: structured exit 2, never a crash -----------------
 execute_process(
   COMMAND ${AFP_CLI} ingest ${EXAMPLES_DIR}/broken_unterminated.sp
@@ -58,21 +77,21 @@ endif()
 if(NOT err MATCHES "broken_unterminated.sp:3")
   message(FATAL_ERROR "malformed-deck diagnostic lost its file:line:\n${err}")
 endif()
-# The floorplan command's reader (Netlist::from_spice) rejects it as well.
+# The floorplan command reads decks with the same parser.
 execute_process(
   COMMAND ${AFP_CLI} floorplan ${EXAMPLES_DIR}/broken_unterminated.sp
           --seed 1
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
-if(NOT rc EQUAL 1)
+if(NOT rc EQUAL 2)
   message(FATAL_ERROR
-    "floorplan of the malformed deck must exit 1, got rc ${rc}: "
+    "floorplan of the malformed deck must exit 2, got rc ${rc}: "
     "${out}\n${err}")
 endif()
-if(NOT err MATCHES "unterminated \\.subckt 'stage'")
+if(NOT err MATCHES "broken_unterminated.sp:3")
   message(FATAL_ERROR
-    "floorplan's malformed-deck error does not name the .subckt:\n${err}")
+    "floorplan's malformed-deck diagnostic lost its file:line:\n${err}")
 endif()
 
 # --- 3. scenario matrix: 1- vs 4-thread bitwise batch reports ------------

@@ -6,7 +6,6 @@
 
 #include "core/fault.hpp"
 #include "metaheur/parallel_search.hpp"
-#include "numeric/parallel.hpp"
 #include "numeric/serialize.hpp"
 
 namespace afp::core {
@@ -259,13 +258,13 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   search.iterations = budget.iterations;
   search.stop = cancel;
 
-  // Exception firewall around one single run or one wave of quanta, the
-  // first of which is `q`: the stop-signal exceptions and bad_alloc keep
-  // their identity (they classify as cancelled / deadline_exceeded /
-  // resource_exhausted), everything else is wrapped so the failing quantum
-  // is attributed.  The fault injector fires at the same boundary, on this
-  // thread (pool threads do not see the ambient FaultScope), which makes an
-  // injected fault indistinguishable from a real optimizer bug downstream.
+  // Exception firewall around one single run, the restart wave (q = 0) or
+  // quantum q: the stop-signal exceptions and bad_alloc keep their identity
+  // (they classify as cancelled / deadline_exceeded / resource_exhausted),
+  // everything else is wrapped so the failing quantum is attributed.  The
+  // fault injector fires at the same boundary, on this thread (pool threads
+  // do not see the ambient FaultScope), which makes an injected fault
+  // indistinguishable from a real optimizer bug downstream.
   auto guarded = [&](long q, const auto& body) {
     try {
       FaultInjector::global().maybe_inject(q, cancel);
@@ -284,22 +283,28 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
   const bool quantum_mode = budget.wall_clock_s > 0.0 || budget.quanta > 0;
   if (!quantum_mode && cfg_.search.restarts <= 1) {
     base = guarded(0, [&] { return opt.run(prep.instance, search, rng); });
+  } else if (!quantum_mode) {
+    // search.restarts = N: N independent runs as one parallel wave, run k
+    // seeded restart_rng(base, k), lowest sp_cost wins (ties to the lower
+    // k) — the same bits as N quanta of the loop below.
+    const metaheur::MultiStartOptions ms{
+        cfg_.search.restarts,
+        cfg_.search.base_seed ? cfg_.search.base_seed : rng()};
+    base = guarded(0, [&] {
+      return metaheur::run_multistart(prep.instance, opt, search, ms);
+    });
   } else {
-    // The quantum loop.  Quantum mode runs fixed-size iteration quanta one
-    // at a time, racing the wall clock and/or counting against
-    // budget.quanta; search.restarts = N runs quanta 0..N-1 as one wave on
-    // the pool.  Quantum q always draws from restart_rng(base, q) and the
-    // fold keeps the lowest sp_cost (ties to the lower q), so the outcome
-    // is a pure function of (base_seed, #quanta completed) — reproducible
-    // for a fixed budget, thread-count invariant, and resumable from a
-    // checkpoint.  At least one wave always completes (unless resumed past
-    // the cap).
-    const int wave = quantum_mode ? 1 : cfg_.search.restarts;
-    const long cap = quantum_mode ? budget.quanta : wave;
+    // The quantum loop: fixed-size iteration quanta run one at a time,
+    // racing the wall clock and/or counting against budget.quanta.
+    // Quantum q always draws from restart_rng(base, q) and the fold keeps
+    // the lowest sp_cost (ties to the lower q), so the outcome is a pure
+    // function of (base_seed, #quanta completed) — reproducible for a
+    // fixed budget, thread-count invariant, and resumable from a
+    // checkpoint.  At least one quantum always completes (unless resumed
+    // past the cap).
     QuantumState st;
     st.base_seed = cfg_.search.base_seed ? cfg_.search.base_seed : rng();
-    const std::string ckpt =
-        quantum_mode ? cfg_.search.checkpoint_path : std::string();
+    const std::string& ckpt = cfg_.search.checkpoint_path;
     std::uint64_t identity = 0;
     if (!ckpt.empty()) {
       identity = checkpoint_identity(opt.name(), cfg_.options,
@@ -310,38 +315,27 @@ PipelineResult FloorplanPipeline::run(const netlist::Netlist& nl,
     const auto deadline =
         t0 + std::chrono::duration_cast<Clock::duration>(
                  std::chrono::duration<double>(budget.wall_clock_s));
-    std::vector<metaheur::BaselineResult> results(
-        static_cast<std::size_t>(wave));
-    while (cap <= 0 || st.quanta < cap) {
+    while (budget.quanta <= 0 || st.quanta < budget.quanta) {
       if (cancel && cancel->expired()) throw DeadlineExceededError(st.quanta);
-      const long q0 = st.quanta;
-      guarded(q0, [&] {
-        num::parallel_for(wave, 1, [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            std::mt19937_64 qrng = metaheur::restart_rng(
-                st.base_seed, static_cast<int>(q0 + i));
-            results[static_cast<std::size_t>(i)] =
-                opt.run(prep.instance, search, qrng);
-          }
-        });
-      });
-      for (auto& r : results) {
-        st.evaluations += r.evaluations;
-        const double cost = metaheur::sp_cost(prep.instance, r.rects);
-        if (!st.has_best || cost < st.best_cost) {
-          st.has_best = true;
-          st.best_cost = cost;
-          st.best = std::move(r);
-        }
-        ++st.quanta;
+      std::mt19937_64 qrng =
+          metaheur::restart_rng(st.base_seed, static_cast<int>(st.quanta));
+      metaheur::BaselineResult r = guarded(
+          st.quanta, [&] { return opt.run(prep.instance, search, qrng); });
+      st.evaluations += r.evaluations;
+      const double cost = metaheur::sp_cost(prep.instance, r.rects);
+      if (!st.has_best || cost < st.best_cost) {
+        st.has_best = true;
+        st.best_cost = cost;
+        st.best = std::move(r);
       }
+      ++st.quanta;
       if (!ckpt.empty()) write_quantum_checkpoint(ckpt, identity, st);
       if (budget.wall_clock_s > 0.0 && Clock::now() >= deadline) break;
       if (cancel && cancel->cancelled()) break;
     }
     base = std::move(st.best);
     base.evaluations = st.evaluations;
-    if (quantum_mode) quanta = st.quanta;
+    quanta = st.quanta;
   }
   // An expired watchdog is a hard failure in every mode: the truncated
   // search result is not the deterministic function of the seed the report

@@ -91,9 +91,9 @@ struct RetryPolicy {
 
 /// Multi-start / budget configuration shared by every registry optimizer.
 struct SearchConfig {
-  /// > 1: best of N restarts, run as quanta 0..N-1 of the quantum loop in
-  /// one parallel wave (quantum q seeded restart_rng(base_seed, q); lowest
-  /// sp_cost wins, ties to the lower q).  Same bits as budget.quanta = N,
+  /// > 1: best of N restarts through metaheur::run_multistart, one
+  /// parallel wave (restart k seeded restart_rng(base_seed, k); lowest
+  /// sp_cost wins, ties to the lower k).  Same bits as budget.quanta = N,
   /// but the result reports quanta = 1 and writes no checkpoint.
   int restarts = 1;
   std::uint64_t base_seed = 0;  ///< 0: drawn from the pipeline rng

@@ -65,6 +65,12 @@ struct StepResult {
 class FloorplanEnv {
  public:
   FloorplanEnv(floorplan::Instance inst, EnvConfig cfg = {});
+  // grid_ points at inst_, so a copied or moved environment would read the
+  // source's instance; hold environments by unique_ptr (see VecEnv).
+  FloorplanEnv(const FloorplanEnv&) = delete;
+  FloorplanEnv& operator=(const FloorplanEnv&) = delete;
+  FloorplanEnv(FloorplanEnv&&) = delete;
+  FloorplanEnv& operator=(FloorplanEnv&&) = delete;
 
   Observation reset();
   /// `flat_action` indexes the 3*n*n action space; must be valid per the

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "metaheur/optimizer.hpp"
 #include "numeric/parallel.hpp"
 
 namespace afp::metaheur {
@@ -22,32 +23,29 @@ std::mt19937_64 restart_rng(std::uint64_t base_seed, int restart) {
   return std::mt19937_64(mixed);
 }
 
-BaselineResult run_multistart(
-    const floorplan::Instance& inst,
-    const std::function<BaselineResult(int restart, std::mt19937_64& rng)>&
-        search,
-    const MultiStartOptions& opt) {
-  if (opt.restarts < 1) {
+BaselineResult run_multistart(const floorplan::Instance& inst,
+                              const Optimizer& opt,
+                              const SearchBudget& budget,
+                              const MultiStartOptions& ms) {
+  if (ms.restarts < 1) {
     throw std::invalid_argument("run_multistart: restarts must be >= 1");
   }
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<BaselineResult> results(static_cast<std::size_t>(opt.restarts));
+  std::vector<BaselineResult> results(static_cast<std::size_t>(ms.restarts));
   // grain 1: each restart is one unit of work; a restart never re-enters the
   // pool (nested parallel_for runs serially on the worker), so the streams
   // stay independent and results are thread-count invariant.
-  num::parallel_for(opt.restarts, 1, [&](std::int64_t k0, std::int64_t k1) {
+  num::parallel_for(ms.restarts, 1, [&](std::int64_t k0, std::int64_t k1) {
     for (std::int64_t k = k0; k < k1; ++k) {
-      std::mt19937_64 rng =
-          restart_rng(opt.base_seed, static_cast<int>(k));
-      results[static_cast<std::size_t>(k)] =
-          search(static_cast<int>(k), rng);
+      std::mt19937_64 rng = restart_rng(ms.base_seed, static_cast<int>(k));
+      results[static_cast<std::size_t>(k)] = opt.run(inst, budget, rng);
     }
   });
   // Deterministic selection: lowest packed cost, ties to the first restart.
   int best = 0;
   double best_cost = sp_cost(inst, results[0].rects);
   long evals = results[0].evaluations;
-  for (int k = 1; k < opt.restarts; ++k) {
+  for (int k = 1; k < ms.restarts; ++k) {
     evals += results[static_cast<std::size_t>(k)].evaluations;
     const double c = sp_cost(inst, results[static_cast<std::size_t>(k)].rects);
     if (c < best_cost) {
@@ -60,35 +58,8 @@ BaselineResult run_multistart(
   r.runtime_s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  if (opt.restarts > 1) r.method += "x" + std::to_string(opt.restarts);
+  if (ms.restarts > 1) r.method += "x" + std::to_string(ms.restarts);
   return r;
-}
-
-BaselineResult run_sa_multi(const floorplan::Instance& inst, const SAParams& p,
-                            const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) { return run_sa(inst, p, rng); },
-      opt);
-}
-
-BaselineResult run_ga_multi(const floorplan::Instance& inst, const GAParams& p,
-                            const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) { return run_ga(inst, p, rng); },
-      opt);
-}
-
-BaselineResult run_sa_bstar_multi(const floorplan::Instance& inst,
-                                  const BStarSAParams& p,
-                                  const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) {
-        return run_sa_bstar(inst, p, rng);
-      },
-      opt);
 }
 
 }  // namespace afp::metaheur

@@ -1,6 +1,8 @@
-// Parallel multi-restart driver for the metaheuristic baselines.
+// Parallel multi-restart driver: the one best-of-N fan-out of the
+// registry optimizers (core::FloorplanPipeline's --restarts, the benches and
+// the tests all go through run_multistart).
 //
-// A single annealing / GA / B*-SA run is inherently sequential, so the
+// A single annealing / GA / tempering run is inherently sequential, so the
 // scalable axis is restarts: K independent searches from per-restart seeded
 // RNG streams, run concurrently on the shared numeric thread pool
 // (numeric/parallel.hpp), with the best result selected deterministically.
@@ -14,12 +16,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <random>
 
 #include "metaheur/baselines.hpp"
-#include "metaheur/bstar.hpp"
 
 namespace afp::metaheur {
+
+class Optimizer;      // metaheur/optimizer.hpp
+struct SearchBudget;  // metaheur/optimizer.hpp
 
 /// SplitMix64 finalizer used to derive all the independent search streams
 /// (restart_rng here, replica_rng in metaheur/tempering) — one definition so
@@ -35,23 +39,15 @@ struct MultiStartOptions {
   std::uint64_t base_seed = 1;
 };
 
-/// Runs `opt.restarts` searches of `search(restart, rng)` on the pool and
-/// returns the winner: lowest sp_cost of the packed result, ties broken by
-/// the lowest restart index.  `evaluations` is summed over all restarts;
-/// `runtime_s` is the wall time of the whole fan-out.
-BaselineResult run_multistart(
-    const floorplan::Instance& inst,
-    const std::function<BaselineResult(int restart, std::mt19937_64& rng)>&
-        search,
-    const MultiStartOptions& opt);
-
-// Convenience wrappers over the serial baselines.
-BaselineResult run_sa_multi(const floorplan::Instance& inst, const SAParams& p,
-                            const MultiStartOptions& opt);
-BaselineResult run_ga_multi(const floorplan::Instance& inst, const GAParams& p,
-                            const MultiStartOptions& opt);
-BaselineResult run_sa_bstar_multi(const floorplan::Instance& inst,
-                                  const BStarSAParams& p,
-                                  const MultiStartOptions& opt);
+/// Runs `ms.restarts` searches `opt.run(inst, budget, restart_rng(
+/// ms.base_seed, k))` on the pool and returns the winner: lowest sp_cost of
+/// the packed result, ties broken by the lowest restart index.
+/// `evaluations` is summed over all restarts; `runtime_s` is the wall time
+/// of the whole fan-out; `method` gains an "x<restarts>" suffix when
+/// restarts > 1.  Throws std::invalid_argument when restarts < 1.
+BaselineResult run_multistart(const floorplan::Instance& inst,
+                              const Optimizer& opt,
+                              const SearchBudget& budget,
+                              const MultiStartOptions& ms);
 
 }  // namespace afp::metaheur

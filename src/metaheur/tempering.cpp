@@ -257,12 +257,4 @@ BaselineResult run_pt(const floorplan::Instance& inst, const PTParams& p,
              : run_pt_impl<SpChain>(inst, p, base_seed, "PT");
 }
 
-BaselineResult run_pt_multi(const floorplan::Instance& inst, const PTParams& p,
-                            const MultiStartOptions& opt) {
-  return run_multistart(
-      inst,
-      [&inst, &p](int, std::mt19937_64& rng) { return run_pt(inst, p, rng); },
-      opt);
-}
-
 }  // namespace afp::metaheur

@@ -109,8 +109,4 @@ std::mt19937_64 replica_rng(std::uint64_t base_seed, int replica);
 BaselineResult run_pt(const floorplan::Instance& inst, const PTParams& p,
                       std::mt19937_64& rng);
 
-/// Best of `opt.restarts` independent tempering runs on the pool.
-BaselineResult run_pt_multi(const floorplan::Instance& inst, const PTParams& p,
-                            const MultiStartOptions& opt);
-
 }  // namespace afp::metaheur

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,34 +10,11 @@ namespace afp::netlist {
 
 namespace {
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> toks;
-  std::string t;
-  while (is >> t) toks.push_back(t);
-  return toks;
-}
-
-/// Parses "W=1.5" style key=value; returns value on key match.
-std::optional<double> parse_kv(const std::string& tok, const std::string& key) {
-  const std::string up = upper(tok);
-  if (up.rfind(key + "=", 0) != 0) return std::nullopt;
-  return std::stod(tok.substr(key.size() + 1));
-}
-
-/// NF= as a finger count.  The value is checked before its cast to int,
-/// which is undefined for NaN, infinities and values outside int's range.
-int finger_count(double nf, const std::string& line) {
-  if (!(nf >= 1.0 && nf < 2147483648.0)) {
-    throw std::runtime_error("bad NF in: " + line);
-  }
-  return static_cast<int>(nf);
+/// Shortest decimal text that reads back as exactly `v` (at most 17
+/// significant digits).
+std::string exact(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace
@@ -133,85 +110,29 @@ double Netlist::total_device_area() const {
 
 std::string Netlist::to_spice() const {
   std::ostringstream os;
-  os << ".subckt " << name_;
+  os << "* " << name_ << "\n.subckt " << name_;
   for (const auto& p : ports_) os << ' ' << p;
   os << '\n';
   for (const Device& d : devices_) {
-    switch (d.type) {
-      case DeviceType::kNmos:
-      case DeviceType::kPmos:
-        os << 'M' << d.name << ' ' << d.terminals[0] << ' ' << d.terminals[1]
-           << ' ' << d.terminals[2] << ' ' << d.terminals[3] << ' '
-           << (d.type == DeviceType::kPmos ? "pmos" : "nmos")
-           << " W=" << d.width_um << " L=" << d.length_um
-           << " NF=" << d.fingers << '\n';
-        break;
-      case DeviceType::kResistor:
-        os << 'R' << d.name << ' ' << d.terminals[0] << ' ' << d.terminals[1]
-           << ' ' << d.value << '\n';
-        break;
-      case DeviceType::kCapacitor:
-        os << 'C' << d.name << ' ' << d.terminals[0] << ' ' << d.terminals[1]
-           << ' ' << d.value << '\n';
-        break;
+    const char letter =
+        d.is_mos() ? 'M' : d.type == DeviceType::kResistor ? 'R' : 'C';
+    if (d.name.empty() ||
+        std::toupper(static_cast<unsigned char>(d.name[0])) != letter) {
+      os << letter;
     }
+    os << d.name;
+    for (const auto& t : d.terminals) os << ' ' << t;
+    if (d.is_mos()) {
+      os << ' ' << (d.type == DeviceType::kPmos ? "pmos" : "nmos")
+         << " W=" << exact(d.width_um) << " L=" << exact(d.length_um)
+         << " NF=" << d.fingers;
+    } else {
+      os << ' ' << exact(d.value);
+    }
+    os << '\n';
   }
   os << ".ends\n";
   return os.str();
-}
-
-Netlist Netlist::from_spice(const std::string& text) {
-  Netlist nl;
-  std::istringstream is(text);
-  std::string line;
-  bool in_subckt = false;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    auto toks = tokenize(line);
-    if (toks.empty() || toks[0][0] == '*') continue;
-    const std::string head = upper(toks[0]);
-    if (head == ".SUBCKT") {
-      if (toks.size() < 2) throw std::runtime_error("malformed .subckt line");
-      nl.set_name(toks[1]);
-      nl.set_ports({toks.begin() + 2, toks.end()});
-      in_subckt = true;
-      continue;
-    }
-    if (head == ".ENDS") return nl;
-    if (!in_subckt) {
-      throw std::runtime_error("device statement outside .subckt: " + line);
-    }
-    Device d;
-    const char kind = static_cast<char>(std::toupper(toks[0][0]));
-    d.name = toks[0].substr(1);
-    if (kind == 'M') {
-      if (toks.size() < 6) throw std::runtime_error("malformed MOS: " + line);
-      d.terminals = {toks[1], toks[2], toks[3], toks[4]};
-      d.type = upper(toks[5]).find('P') != std::string::npos
-                   ? DeviceType::kPmos
-                   : DeviceType::kNmos;
-      for (std::size_t i = 6; i < toks.size(); ++i) {
-        if (auto w = parse_kv(toks[i], "W")) d.width_um = *w;
-        else if (auto l = parse_kv(toks[i], "L")) d.length_um = *l;
-        else if (auto nf = parse_kv(toks[i], "NF"))
-          d.fingers = finger_count(*nf, line);
-      }
-    } else if (kind == 'R' || kind == 'C') {
-      if (toks.size() < 4)
-        throw std::runtime_error("malformed passive: " + line);
-      d.terminals = {toks[1], toks[2]};
-      d.type = kind == 'R' ? DeviceType::kResistor : DeviceType::kCapacitor;
-      d.value = std::stod(toks[3]);
-    } else {
-      throw std::runtime_error("unsupported device kind in: " + line);
-    }
-    nl.add_device(std::move(d));
-  }
-  if (in_subckt) {
-    throw std::runtime_error("unterminated .subckt '" + nl.name() +
-                             "' (missing .ends)");
-  }
-  return nl;
 }
 
 }  // namespace afp::netlist

@@ -1,18 +1,9 @@
-// Transistor-level netlist representation with a small SPICE-like text
-// format (enough to round-trip the circuits this project uses).
-//
-// Grammar (one statement per line, '*' comments, case-insensitive keys):
-//   .subckt <name> <port> ...
-//   M<name> <d> <g> <s> <b> <model> W=<um> L=<um> [NF=<int>]
-//   R<name> <a> <b> <ohms>
-//   C<name> <a> <b> <farads>
-//   .ends
-// Models containing 'p' are PMOS, otherwise NMOS.
+// Transistor-level netlist representation.  SPICE text is read by
+// src/ingest (ingest::parse_deck / parse_file); Netlist::to_spice writes a
+// deck that reader turns back into the same devices.
 #pragma once
 
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -80,11 +71,13 @@ class Netlist {
   /// Total device area in um^2.
   double total_device_area() const;
 
-  /// Serializes to the SPICE-like text format.
+  /// Serializes to a SPICE deck that ingest::parse_deck / parse_file read
+  /// back to the same devices bit for bit: a "* <name>" title comment and
+  /// one .subckt with a card per device, named after it, with values as the
+  /// shortest decimal that reads back exactly.  Exceptions: a name that
+  /// does not start with its card letter M/R/C gets it prepended, and a MOS
+  /// W or L below 0.01 um would read back as meters.
   std::string to_spice() const;
-  /// Parses one .subckt, up to its .ends, from text.  Throws
-  /// std::runtime_error on errors, a .subckt without .ends among them.
-  static Netlist from_spice(const std::string& text);
 
  private:
   std::string name_ = "top";

@@ -12,9 +12,9 @@
 // Requests (client -> server), selected by the "type" member:
 //
 //   {"type": "submit", "circuit": <registry name>, ...}
-//       or "spice": <inline netlist text>, or "scenario": a generated-
-//       workload spec "family:size:seed[:key=val...]" — exactly one of the
-//       three.
+//       or "spice": <inline SPICE deck, read by ingest::parse_deck with
+//       no title line>, or "scenario": a generated-workload spec
+//       "family:size:seed[:key=val...]" — exactly one of the three.
 //       Optional: "name" (job label, defaults to the circuit spec),
 //       "seed" (explicit rng seed; bitwise-matches `afp_cli floorplan
 //       --seed N`; 0/absent derives a per-job seed), "priority" (higher

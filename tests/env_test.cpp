@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "env/vec_env.hpp"
 #include "netlist/library.hpp"
 
@@ -26,6 +28,13 @@ int first_valid(const Observation& obs) {
   }
   return -1;
 }
+
+// The grid keeps a pointer to the environment's own instance, so an
+// environment must stay where it was built.
+static_assert(!std::is_copy_constructible_v<FloorplanEnv>);
+static_assert(!std::is_copy_assignable_v<FloorplanEnv>);
+static_assert(!std::is_move_constructible_v<FloorplanEnv>);
+static_assert(!std::is_move_assignable_v<FloorplanEnv>);
 
 TEST(Env, ActionEncodingRoundTrip) {
   FloorplanEnv env(instance_of("ota_small"));

@@ -5,7 +5,8 @@
 //      silent partial netlist.
 //   2. Subcircuit-expansion goldens: hierarchical decks elaborate with
 //      deterministic name prefixing, port-to-actual net mapping, global
-//      supplies and global -> subckt-default -> X-override param scoping.
+//      supplies and global -> subckt-default -> X-override param scoping;
+//      Netlist::to_spice decks read back bit for bit.
 //   3. Scenario-generator property suite (200 seeded specs across all
 //      four families): generation is a pure function of the spec, the
 //      recognized block count and names match the generator's own
@@ -13,11 +14,13 @@
 //      shown constructively by an analytic witness placement.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "floorplan/instance.hpp"
 #include "ingest/scenario.hpp"
 #include "ingest/spice_parser.hpp"
+#include "netlist/library.hpp"
 
 namespace afp {
 namespace {
@@ -99,8 +102,20 @@ TEST(SpiceParser, BadDeviceParametersAreErrors) {
   expect_error("M1 d g s b nch w=1u nf=2147483648\n", 1,
                "bad W/L/NF on 'M1'");
   expect_error("M1 d g s b nch w=1u nf=-1e30\n", 1, "bad W/L/NF on 'M1'");
+  expect_error("M1 d g s b nch w=1u nf=-3\n", 1, "bad W/L/NF on 'M1'");
+  // A bare inf or nan is no number; computed, it fails the range check.
+  expect_error("M1 d g s b nch w=1u nf=inf\n", 1, "undefined parameter 'inf'");
+  expect_error("M1 d g s b nch w=1u nf=nan\n", 1, "undefined parameter 'nan'");
+  expect_error("M1 d g s b nch w=1u nf={1e308*10}\n", 1,
+               "bad W/L/NF on 'M1'");
+  expect_error("M1 d g s b nch w=1u nf={1e308*10-1e308*10}\n", 1,
+               "bad W/L/NF on 'M1'");
+  // The largest int is still a finger count.
+  EXPECT_EQ(parse("M1 d g s b nch w=1u nf=2147483647\n").device(0).fingers,
+            2147483647);
   expect_error("R1 a b 0\n", 1, "non-positive");
   expect_error("M1 d g s\n", 1, "needs <d> <g> <s> <b> <model>");
+  expect_error("Q1 a b c\n", 1, "BJT card 'Q1' needs");
   expect_error("M1 d g s b nch w=1u stray\n", 1,
                "positional field 'stray' after parameter assignments");
 }
@@ -155,6 +170,7 @@ TEST(SpiceParser, MissingFileIsALineZeroError) {
 
 TEST(SpiceParser, ExpansionPrefixesMapsAndScopesParams) {
   const std::string deck =
+      "* comment line\n"
       ".param wg=4u\n"
       ".subckt inv in out w=2u\n"
       "MP out in VDD VDD pch w={2*w} l=0.3u\n"
@@ -201,6 +217,49 @@ TEST(SpiceParser, InternalNetsArePrefixedPerInstance) {
   EXPECT_EQ(nl.device(0).drain(), "X3.mid");
   EXPECT_EQ(nl.device(1).gate(), "X3.mid");
   EXPECT_EQ(nl.device(2).drain(), "X4.mid");  // no cross-instance sharing
+}
+
+TEST(SpiceParser, ToSpiceRoundTripsBitForBit) {
+  std::vector<netlist::Netlist> netlists;
+  for (const auto& e : netlist::circuit_registry()) {
+    netlists.push_back(e.make());
+  }
+  for (const auto& family : ingest::scenario_families()) {
+    ingest::ScenarioSpec spec;
+    spec.family = family;
+    spec.size = 50;
+    netlists.push_back(ingest::make_scenario(spec).netlist);
+  }
+  ASSERT_EQ(netlists.size(), 18u);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& orig : netlists) {
+    SCOPED_TRACE(orig.name());
+    const auto nl = parse(orig.to_spice());
+    EXPECT_EQ(nl.name(), orig.name());
+    ASSERT_EQ(nl.num_devices(), orig.num_devices());
+    for (int i = 0; i < orig.num_devices(); ++i) {
+      const auto& a = orig.device(i);
+      const auto& b = nl.device(i);
+      EXPECT_EQ(b.name, a.name);
+      EXPECT_EQ(b.type, a.type) << a.name;
+      EXPECT_EQ(b.terminals, a.terminals) << a.name;
+      if (a.is_mos()) {
+        EXPECT_EQ(bits(b.width_um), bits(a.width_um)) << a.name;
+        EXPECT_EQ(bits(b.length_um), bits(a.length_um)) << a.name;
+        EXPECT_EQ(b.fingers, a.fingers) << a.name;
+      } else {
+        EXPECT_EQ(bits(b.value), bits(a.value)) << a.name;
+      }
+    }
+  }
+  // A name that does not start with its card letter (an elaborated
+  // hierarchy, a BJT mapped to a MOS block) gets the letter prepended.
+  netlist::Netlist h("h");
+  h.add_device({"X1.MP", netlist::DeviceType::kPmos, {"d", "g", "s", "b"}});
+  h.add_device({"Q2", netlist::DeviceType::kNmos, {"c", "b", "e", "e"}});
+  const auto back = parse(h.to_spice());
+  EXPECT_EQ(back.device(0).name, "MX1.MP");
+  EXPECT_EQ(back.device(1).name, "MQ2");
 }
 
 // ------------------------------------------- scenario generator properties ---

@@ -8,6 +8,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/training.hpp"
+#include "ingest/spice_parser.hpp"
 #include "netlist/library.hpp"
 #include "nn/checkpoint.hpp"
 
@@ -92,7 +93,7 @@ TEST(Pipeline, DeterministicGivenSeed) {
 TEST(Pipeline, RunsFromSpiceText) {
   // End to end from raw SPICE text rather than a library generator.
   const std::string text = netlist::make_ota_small().to_spice();
-  const auto nl = netlist::Netlist::from_spice(text);
+  const auto nl = ingest::parse_deck(text);
   std::mt19937_64 rng(4);
   core::PipelineConfig cfg;
   cfg.options = {{"iterations", "300"}};

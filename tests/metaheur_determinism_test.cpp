@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
+#include "metaheur/optimizer.hpp"
 #include "metaheur/parallel_search.hpp"
 #include "metaheur/tempering.hpp"
 #include "netlist/library.hpp"
@@ -60,23 +62,22 @@ TEST(RestartRng, StreamsAreStableAndDistinct) {
 
 TEST(MultiStart, RejectsZeroRestarts) {
   const auto inst = instance_of(netlist::make_ota_small());
-  EXPECT_THROW(run_sa_multi(inst, SAParams{}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(run_multistart(inst, *make_optimizer("sa"), {}, {0, 1}),
+               std::invalid_argument);
 }
 
 TEST(MultiStart, SaIsThreadCountInvariant) {
   const auto inst = instance_of(netlist::make_ota2());
-  SAParams p;
-  p.iterations = 600;
+  const auto sa = make_optimizer("sa", {{"iterations", "600"}});
   check_thread_invariance(
-      [&] { return run_sa_multi(inst, p, {4, 11}); }, "SA x4");
+      [&] { return run_multistart(inst, *sa, {}, {4, 11}); }, "SA x4");
 }
 
 TEST(MultiStart, BStarSaIsThreadCountInvariant) {
   const auto inst = instance_of(netlist::make_bias1());
-  BStarSAParams p;
-  p.iterations = 600;
+  const auto sab = make_optimizer("sab", {{"iterations", "600"}});
   check_thread_invariance(
-      [&] { return run_sa_bstar_multi(inst, p, {4, 5}); }, "SA-B* x4");
+      [&] { return run_multistart(inst, *sab, {}, {4, 5}); }, "SA-B* x4");
 }
 
 TEST(ParallelPopulations, GaIsThreadCountInvariant) {
@@ -105,13 +106,12 @@ TEST(ParallelPopulations, PsoIsThreadCountInvariant) {
       "PSO");
 }
 
-TEST(MultiStart, GaWrapperIsThreadCountInvariant) {
+TEST(MultiStart, GaIsThreadCountInvariant) {
   const auto inst = instance_of(netlist::make_ota_small());
-  GAParams p;
-  p.population = 8;
-  p.generations = 5;
+  const auto ga =
+      make_optimizer("ga", {{"population", "8"}, {"generations", "5"}});
   check_thread_invariance(
-      [&] { return run_ga_multi(inst, p, {3, 9}); }, "GA x3");
+      [&] { return run_multistart(inst, *ga, {}, {3, 9}); }, "GA x3");
 }
 
 // ------------------------------------------------ parallel tempering ---
@@ -230,11 +230,10 @@ TEST(Tempering, AdaptiveSwapIsThreadCountInvariant) {
 
 TEST(Tempering, MultiStartPtIsThreadCountInvariant) {
   const auto inst = instance_of(netlist::make_ota_small());
-  PTParams p;
-  p.replicas = 4;
-  p.iterations = 80;
+  const auto pt =
+      make_optimizer("pt", {{"replicas", "4"}, {"iterations", "80"}});
   check_thread_invariance(
-      [&] { return run_pt_multi(inst, p, {3, 13}); }, "PT x3");
+      [&] { return run_multistart(inst, *pt, {}, {3, 13}); }, "PT x3");
 }
 
 TEST(Tempering, BestIsNoWorseThanEveryReplicaStart) {
@@ -266,7 +265,8 @@ TEST(MultiStart, BestOfRestartsIsNoWorseThanAnySingleRestart) {
   SAParams p;
   p.iterations = 500;
   const MultiStartOptions opt{4, 21};
-  const auto multi = run_sa_multi(inst, p, opt);
+  const auto multi = run_multistart(
+      inst, *make_optimizer("sa", {{"iterations", "500"}}), {}, opt);
   const double multi_cost = sp_cost(inst, multi.rects);
   long total_evals = 0;
   for (int k = 0; k < opt.restarts; ++k) {

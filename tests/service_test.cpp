@@ -25,6 +25,7 @@
 #include "core/job_service.hpp"
 #include "core/report.hpp"
 #include "ingest/scenario.hpp"
+#include "ingest/spice_parser.hpp"
 #include "netlist/library.hpp"
 #include "numeric/parallel.hpp"
 #include "service/admission.hpp"
@@ -481,7 +482,7 @@ TEST_F(ServiceE2E, SpiceSubmitMatchesInProcessParse) {
   // and running the same job in process (modulo timings).
   core::JobSpec spec;
   spec.name = "ota2_deck";
-  spec.netlist = netlist::Netlist::from_spice(deck);
+  spec.netlist = ingest::parse_deck(deck);
   spec.config.search.budget.iterations = 60;
   const core::JobReport rep =
       core::JobService::run_job(spec, 0, 31, nullptr, {});
@@ -490,6 +491,44 @@ TEST_F(ServiceE2E, SpiceSubmitMatchesInProcessParse) {
             normalize_timings(core::report_json(rep.result, rep.name,
                                                 rep.optimizer, rep.options,
                                                 rep.search, rep.seed)));
+}
+
+TEST_F(ServiceE2E, SpiceSubmitRejectsBadDecksByLine) {
+  start_server({});
+  Client client = connect();
+  const auto expect_rejected = [&](const std::string& deck,
+                                   const std::string& at) {
+    try {
+      client.submit_spice(deck, "bad_deck", 1);
+      ADD_FAILURE() << "bad deck accepted; expected " << at;
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.kind, "invalid_config");
+      EXPECT_NE(std::string(e.what()).find(at), std::string::npos)
+          << e.what();
+    }
+  };
+  // The checked-in malformed example: its .subckt on line 3 has no .ends.
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path().parent_path() /
+                   "examples" / "broken_unterminated.sp");
+  ASSERT_TRUE(in) << "examples/broken_unterminated.sp not found";
+  const std::string broken((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  expect_rejected(broken, ":3: unterminated .subckt 'stage'");
+  // A 40-deep chain of subcircuits, past the parser's nesting cap of 32.
+  // Subcircuit i spans lines 4i+1..4i+4, so the X card of s31 (line 126)
+  // is the one that would open level 33.
+  std::string chain;
+  for (int i = 0; i < 40; ++i) {
+    chain += ".subckt s" + std::to_string(i) + " p\n";
+    if (i + 1 < 40) chain += "X p s" + std::to_string(i + 1) + "\n";
+    chain += "M1 p p VSS VSS nch w=1u\n.ends\n";
+  }
+  chain += "XT n s0\n";
+  expect_rejected(chain, ":126: subcircuit nesting exceeds depth 32");
+  // The session survives both rejections.
+  const auto ok = client.submit_spice(netlist::make_ota_small().to_spice(),
+                                      "ota_small_deck", 2, 0, config_json(40));
+  EXPECT_EQ(client.await_result(ok.job).status, "done");
 }
 
 TEST_F(ServiceE2E, SeedlessSubmitsDeriveDistinctSeeds) {

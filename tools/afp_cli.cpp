@@ -154,7 +154,9 @@ global options:
   --help, -h    Show this message.
 
 A <circuit> argument is first looked up in the registry (see `afp list`);
-otherwise it is treated as a path to a SPICE-like netlist file.
+otherwise it is treated as a path to a SPICE deck, read as `afp ingest`
+reads it (title line, SPICE suffixes; malformed decks exit 2 with
+file:line).
 Unknown options and malformed numeric values are rejected with exit code 2.
 )";
 
@@ -280,18 +282,13 @@ double parse_double_or_die(const Args& args, const std::string& key,
   return v;
 }
 
+/// A registry circuit by name, else a SPICE deck read as `afp ingest` reads
+/// it (a missing file or a malformed deck throws ingest::ParseError).
 netlist::Netlist load_circuit(const std::string& spec) {
   for (const auto& e : netlist::circuit_registry()) {
     if (e.name == spec) return e.make();
   }
-  std::ifstream is(spec);
-  if (!is) {
-    throw std::runtime_error("'" + spec +
-                             "' is neither a registry circuit nor a file");
-  }
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return netlist::Netlist::from_spice(ss.str());
+  return ingest::parse_file(spec);
 }
 
 void print_result(const core::PipelineResult& res) {
