@@ -1,10 +1,15 @@
 # Golden end-to-end determinism check for the search CLI.
 #
-# For each baseline run (a short SA and a short multi-start PT), for every
-# kernel tier, the afp_cli pipeline must write a bitwise-identical --report
-# for AFP_NUM_THREADS in {1, 4} and across two repeats.  The report contains
-# the full-precision best cost, metrics and rectangles and no timings, so
-# any byte of drift means the search path itself diverged.
+# For each run (a short SA and a short multi-start PT on ota_small, and a
+# short SA on a 100-block scenario), for every kernel tier, the afp_cli
+# pipeline must write a bitwise-identical --report for AFP_NUM_THREADS in
+# {1, 4} and across two repeats.  The report contains the full-precision
+# best cost, metrics, rectangles and routed wirelength and no timings, so
+# any byte of drift means the search or routing path diverged.  ota_small
+# routes on the full canvas; the 100-block scenario routes each net on a
+# window around its pins.  Each run is a separate process with its own
+# address layout, so a stage that iterates a pointer-keyed or unordered
+# container shows up here as drift.
 #
 # Invoked by CTest as:
 #   cmake -DAFP_CLI=<path-to-afp_cli> -DWORK_DIR=<scratch-dir> -P e2e_determinism.cmake
@@ -16,10 +21,12 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 # avx2 falls back to scalar on CPUs without AVX2, so the list is safe anywhere.
 set(tiers naive scalar avx2 auto)
 
-# name;flags... per run: one plain SA, one multi-start parallel tempering.
+# name;args... per run: one plain SA, one multi-start parallel tempering,
+# one SA whose nets route on windows.
 set(runs
-    "sa\;--baseline\;sa\;--iters\;120"
-    "pt\;--baseline\;pt\;--restarts\;2\;--pt-replicas\;4\;--pt-swap-interval\;8\;--iters\;60")
+    "sa\;ota_small\;--baseline\;sa\;--iters\;120"
+    "pt\;ota_small\;--baseline\;pt\;--restarts\;2\;--pt-replicas\;4\;--pt-swap-interval\;8\;--iters\;60"
+    "sa_windowed\;--scenario\;ota:100:1\;--baseline\;sa\;--iters\;120")
 
 foreach(run IN LISTS runs)
   list(GET run 0 name)
@@ -34,7 +41,7 @@ foreach(run IN LISTS runs)
         execute_process(
           COMMAND ${CMAKE_COMMAND} -E env
                   AFP_NUM_THREADS=${threads} AFP_KERNEL_TIER=${tier}
-                  ${AFP_CLI} floorplan ota_small ${flags} --seed 7
+                  ${AFP_CLI} floorplan ${flags} --seed 7
                   --report ${report}
           RESULT_VARIABLE rc
           OUTPUT_QUIET
@@ -51,7 +58,7 @@ foreach(run IN LISTS runs)
           if(NOT content STREQUAL golden_content)
             message(FATAL_ERROR
               "nondeterministic result: ${report} differs from ${golden_file} "
-              "(baseline ${name}, tier ${tier}, ${threads} threads, repeat ${repeat})")
+              "(run ${name}, tier ${tier}, ${threads} threads, repeat ${repeat})")
           endif()
         endif()
       endforeach()

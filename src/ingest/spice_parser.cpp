@@ -271,7 +271,8 @@ double to_um(double v) { return v < 0.01 ? v * 1e6 : v; }
 struct SubcktDef {
   std::string name;  ///< original case
   int line = 0;
-  std::vector<std::string> ports;             ///< lowercased formals
+  std::vector<std::string> ports;             ///< lowercased formals (keys)
+  std::vector<std::string> port_names;        ///< formals as spelled
   std::vector<std::pair<std::string, std::string>> defaults;  ///< k, raw v
   std::vector<Stmt> body;                     ///< device cards, deck order
 };
@@ -331,6 +332,7 @@ Deck first_pass(const std::string& text, const std::string& file,
                                def.name);
         } else {
           def.ports.push_back(lower(s.tokens[i]));
+          def.port_names.push_back(s.tokens[i]);
         }
       }
       const std::string key = lower(def.name);
@@ -706,7 +708,7 @@ netlist::Netlist parse_deck(const std::string& text,
     }
     const SubcktDef& def = it->second;
     elab.out.set_name(def.name);
-    elab.out.set_ports(def.ports);
+    elab.out.set_ports(def.port_names);
     Scope scope = elab.globals;
     for (const auto& [k, v] : def.defaults) {
       scope[k] = eval_value(v, elab.globals, filename, def.line);
@@ -736,7 +738,7 @@ netlist::Netlist parse_deck(const std::string& text,
     }
     const SubcktDef& def = *roots.front();
     elab.out.set_name(def.name);
-    elab.out.set_ports(def.ports);
+    elab.out.set_ports(def.port_names);
     Scope scope = elab.globals;
     for (const auto& [k, v] : def.defaults) {
       scope[k] = eval_value(v, elab.globals, filename, def.line);

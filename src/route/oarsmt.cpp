@@ -1,12 +1,14 @@
 #include "route/oarsmt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #ifdef __GLIBC__
@@ -120,74 +122,299 @@ struct Targets {
   }
 };
 
-/// Escape-graph router over the Hanan grid of terminals + obstacle edges.
+/// A run of consecutive indices [lo, hi] on one Hanan line.
+struct Span {
+  int lo, hi;
+};
+
+/// One axis of a net's Hanan grid: the snapped lines and, for every
+/// coordinate added, the line it lies on.
+class Axis {
+ public:
+  void clear() { keys_.clear(); }
+  void add(double c) {
+    keys_.push_back({c, static_cast<std::uint32_t>(keys_.size())});
+  }
+
+  /// Sorts the coordinates added and keeps each only when it lies
+  /// kLineSnap or more above the last line kept.  A coordinate lies on
+  /// the first line at or above c - kLineSnap (its cluster's line, or a
+  /// lower one that sits at that bound exactly), or on the last line.
+  void snap() {
+    std::sort(keys_.begin(), keys_.end(),
+              [](const Key& a, const Key& b) { return a.c < b.c; });
+    lines.clear();
+    for (const Key& k : keys_) {
+      if (lines.empty() || k.c - lines.back() >= kLineSnap) {
+        lines.push_back(k.c);
+      }
+    }
+    line_of.resize(keys_.size());
+    int l = 0;
+    for (const Key& k : keys_) {
+      while (l + 1 < size() &&
+             lines[static_cast<std::size_t>(l)] < k.c - kLineSnap) {
+        ++l;
+      }
+      line_of[k.source] = l;
+    }
+  }
+
+  int size() const { return static_cast<int>(lines.size()); }
+
+  /// The first line at or above `c` (std::lower_bound), walked from the
+  /// line index `hint`.
+  int seek(int hint, double c) const {
+    while (hint > 0 && lines[static_cast<std::size_t>(hint) - 1] >= c) --hint;
+    while (hint < size() && lines[static_cast<std::size_t>(hint)] < c) ++hint;
+    return hint;
+  }
+
+  /// The pieces of a line across this axis that a shrunk obstacle
+  /// spanning [a0, a1) along it blocks, given the first lines c0 and c1
+  /// at or above a0 and a1: the pieces whose midpoint lies in [a0, a1)
+  /// and the pieces next to the crossings c0 .. c1 - 1.  Empty when
+  /// lo > hi.
+  Span blocked_pieces(int c0, int c1, double a0, double a1) const {
+    Span p{first_mid(c0, a0), first_mid(c1, a1) - 1};
+    if (c0 < c1) {
+      p.lo = std::min(p.lo, c0 - 1);
+      p.hi = std::max(p.hi, c1 - 1);
+    }
+    return {std::max(p.lo, 0), std::min(p.hi, size() - 2)};
+  }
+
+  std::vector<double> lines;
+  std::vector<int> line_of;  ///< per coordinate, in the order added
+
+ private:
+  /// The first piece whose midpoint lies at or above `a`, given the first
+  /// line c at or above it: midpoints interleave the lines, so it is piece
+  /// c - 1 or c.
+  int first_mid(int c, double a) const {
+    if (c > 0 && c < size() &&
+        (lines[static_cast<std::size_t>(c) - 1] +
+         lines[static_cast<std::size_t>(c)]) / 2.0 >= a) {
+      return c - 1;
+    }
+    return std::min(c, size() - 1);
+  }
+
+  struct Key {
+    double c;
+    std::uint32_t source;
+  };
+  std::vector<Key> keys_;
+};
+
+/// Items grouped by a key in [0, n) with a counting sort: the items of key
+/// k are items[first[k] .. first[k + 1]), in the order they were added.
+template <class T>
+class Buckets {
+ public:
+  void clear() { entries_.clear(); }
+  void add(int key, const T& item) { entries_.push_back({key, item}); }
+  void group(int n) {
+    first.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& e : entries_) ++first[static_cast<std::size_t>(e.key) + 1];
+    for (std::size_t k = 1; k < first.size(); ++k) first[k] += first[k - 1];
+    items.resize(entries_.size());
+    fill_.assign(first.begin(), first.end() - 1);
+    for (const auto& e : entries_) {
+      items[fill_[static_cast<std::size_t>(e.key)]++] = e.item;
+    }
+  }
+  std::span<T> of(int key) {
+    const auto k = static_cast<std::size_t>(key);
+    return {items.data() + first[k], items.data() + first[k + 1]};
+  }
+
+  std::vector<std::uint32_t> first;
+  std::vector<T> items;
+
+ private:
+  struct Entry {
+    int key;
+    T item;
+  };
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> fill_;
+};
+
+/// The blocked pieces of every line of one orientation, merged into
+/// sorted disjoint spans per line.
+class LinePieces {
+ public:
+  void clear() { blocks_.clear(); }
+  /// Obstacle pieces `p` block lines [first_line, end_line).
+  void add(Span p, int first_line, int end_line) {
+    if (p.lo <= p.hi && first_line < end_line) {
+      blocks_.add(p.lo, {p, first_line, end_line});
+    }
+  }
+  /// Groups the blocked spans by line; `npieces` is the lines' piece count.
+  void merge(int nlines, int npieces) {
+    blocks_.group(npieces);  // by lo, so each line's spans come out sorted
+    // Each line's span count from a difference array (unsigned wrap-around
+    // cancels), then the spans.
+    const auto n = static_cast<std::size_t>(nlines);
+    first_.assign(n + 1, 0);
+    for (const Block& b : blocks_.items) {
+      ++first_[static_cast<std::size_t>(b.first_line) + 1];
+      --first_[static_cast<std::size_t>(b.end_line) + 1];
+    }
+    std::uint32_t open = 0;
+    for (std::size_t l = 1; l <= n; ++l) {
+      open += first_[l];
+      first_[l] = first_[l - 1] + open;
+    }
+    spans_.resize(first_[n]);
+    fill_.assign(first_.begin(), first_.end() - 1);
+    for (const Block& b : blocks_.items) {
+      for (int l = b.first_line; l < b.end_line; ++l) {
+        spans_[fill_[static_cast<std::size_t>(l)]++] = b.pieces;
+      }
+    }
+    // Merge each line's spans in place; fill_ becomes each line's end.
+    for (std::size_t l = 0; l < n; ++l) {
+      std::uint32_t kept = first_[l];
+      for (std::uint32_t k = first_[l]; k < fill_[l]; ++k) {
+        const Span s = spans_[k];
+        if (kept > first_[l] && s.lo <= spans_[kept - 1].hi + 1) {
+          spans_[kept - 1].hi = std::max(spans_[kept - 1].hi, s.hi);
+        } else {
+          spans_[kept++] = s;
+        }
+      }
+      fill_[l] = kept;
+    }
+  }
+
+  /// Appends to `runs` the run of crossings, [lo, hi] with lo < hi, that
+  /// unblocked pieces of line `l` join to each of the sorted crossings
+  /// `at`; `last` is the line's last crossing.
+  void runs_through(int l, std::span<const int> at, int last,
+                    std::vector<Span>& runs) const {
+    const Span* it = spans_.data() + first_[static_cast<std::size_t>(l)];
+    const Span* const begin = it;
+    const Span* const end = spans_.data() + fill_[static_cast<std::size_t>(l)];
+    const std::size_t first_run = runs.size();
+    for (const int c : at) {
+      if (runs.size() > first_run && c <= runs.back().hi) continue;
+      while (it != end && it->hi < c) ++it;
+      if (it != end && it->lo < c) continue;  // pieces c - 1 and c blocked
+      const Span run{it != begin ? (it - 1)->hi + 1 : 0,
+                     it != end ? it->lo : last};
+      if (run.lo < run.hi) runs.push_back(run);
+    }
+  }
+
+ private:
+  struct Block {
+    Span pieces;
+    int first_line, end_line;
+  };
+  Buckets<Block> blocks_;
+  std::vector<Span> spans_;  ///< line l's are [first_[l], fill_[l])
+  std::vector<std::uint32_t> first_, fill_;
+};
+
+/// The Ganley–Cohoon escape graph of one net, as oarsmt.hpp describes it.
+/// Ids run row-major (y line, then x line), in the order of the full
+/// grid's ids, and the adjacency is CSR.  A build reuses the storage of
+/// the last one.
 class EscapeGraph {
  public:
-  EscapeGraph(std::span<const geom::Point> terminals,
-              std::span<const geom::Rect> obstacles, double clearance) {
+  void build(std::span<const geom::Point> terminals,
+             std::span<const geom::Rect> obstacles, double clearance) {
+    raw_.clear();
     for (const auto& o : obstacles) {
-      const geom::Rect s = o.inflated(-clearance);
-      if (!s.empty()) obstacles_.push_back(s);
+      if (!o.inflated(-clearance).empty()) raw_.push_back(o);
     }
-    const std::size_t nlines = terminals.size() + 2 * obstacles_.size();
-    xs_.reserve(nlines);
-    ys_.reserve(nlines);
+    x_.clear();
+    y_.clear();
     for (const auto& t : terminals) {
-      xs_.push_back(t.x);
-      ys_.push_back(t.y);
+      x_.add(t.x);
+      y_.add(t.y);
     }
-    for (const auto& o : obstacles_) {
-      xs_.push_back(o.x - clearance);
-      xs_.push_back(o.right() + clearance);
-      ys_.push_back(o.y - clearance);
-      ys_.push_back(o.top() + clearance);
+    for (const auto& o : raw_) {
+      x_.add(o.x);
+      x_.add(o.right());
+      y_.add(o.y);
+      y_.add(o.top());
     }
-    snap_lines(xs_);
-    snap_lines(ys_);
-    nx_ = static_cast<int>(xs_.size());
-    ny_ = static_cast<int>(ys_.size());
-    // Occlusion bitmaps are range-marked per obstacle instead of testing
-    // every grid point against every obstacle: a vertex (edge midpoint) is
-    // covered exactly when its coordinate falls in the obstacle's half-open
-    // span, so binary-searching the span's index range marks the same
-    // vertices the old O(grid x obstacles) scan did.
-    xmid_.resize(nx_ > 0 ? static_cast<std::size_t>(nx_ - 1) : 0);
-    for (std::size_t i = 0; i + 1 < xs_.size(); ++i) {
-      xmid_[i] = (xs_[i] + xs_[i + 1]) / 2.0;
+    x_.snap();
+    y_.snap();
+    const std::size_t nt = terminals.size();
+    terminals_.resize(nt);
+
+    // Escape points by row and by column; blocked pieces of every line.
+    row_escapes_.clear();
+    col_escapes_.clear();
+    auto escape = [&](std::size_t xk, std::size_t yk) {
+      const int i = x_.line_of[xk], j = y_.line_of[yk];
+      row_escapes_.add(j, i);
+      col_escapes_.add(i, j);
+    };
+    for (std::size_t t = 0; t < nt; ++t) {
+      escape(t, t);
+      terminals_[t] = {x_.line_of[t], y_.line_of[t]};
     }
-    ymid_.resize(ny_ > 0 ? static_cast<std::size_t>(ny_ - 1) : 0);
-    for (std::size_t j = 0; j + 1 < ys_.size(); ++j) {
-      ymid_[j] = (ys_[j] + ys_[j + 1]) / 2.0;
+    hpieces_.clear();
+    vpieces_.clear();
+    for (std::size_t k = 0; k < raw_.size(); ++k) {
+      const std::size_t lo = nt + 2 * k, hi = lo + 1;
+      escape(lo, lo);
+      escape(hi, lo);
+      escape(lo, hi);
+      escape(hi, hi);
+      const geom::Rect s = raw_[k].inflated(-clearance);
+      const int cx0 = x_.seek(x_.line_of[lo], s.x);
+      const int cx1 = x_.seek(x_.line_of[hi], s.right());
+      const int cy0 = y_.seek(y_.line_of[lo], s.y);
+      const int cy1 = y_.seek(y_.line_of[hi], s.top());
+      hpieces_.add(x_.blocked_pieces(cx0, cx1, s.x, s.right()), cy0, cy1);
+      vpieces_.add(y_.blocked_pieces(cy0, cy1, s.y, s.top()), cx0, cx1);
     }
-    blocked_.assign(static_cast<std::size_t>(nx_) * ny_, false);
-    hblocked_.assign(xmid_.size() * static_cast<std::size_t>(ny_), false);
-    vblocked_.assign(static_cast<std::size_t>(nx_) * ymid_.size(), false);
-    for (const auto& o : obstacles_) {
-      mark_covered(xs_, ys_, o, nx_, blocked_);
-      mark_covered(xmid_, ys_, o, nx_ - 1, hblocked_);
-      mark_covered(xs_, ymid_, o, nx_, vblocked_);
+    const int nx = x_.size(), ny = y_.size();
+    row_escapes_.group(ny);
+    col_escapes_.group(nx);
+    hpieces_.merge(ny, std::max(nx - 1, 0));
+    vpieces_.merge(nx, std::max(ny - 1, 0));
+
+    // Vertical segments, grouped by the row they start and end on.
+    vstarts_.clear();
+    vends_.clear();
+    for (int i = 0; i < nx; ++i) {
+      runs_.clear();
+      vpieces_.runs_through(i, sorted_unique(col_escapes_.of(i)), ny - 1,
+                            runs_);
+      for (const Span& r : runs_) {
+        vstarts_.add(r.lo, i);
+        vends_.add(r.hi, i);
+      }
     }
+    vstarts_.group(ny);
+    vends_.group(ny);
+
+    sweep_rows();
+    link();
   }
 
-  std::size_t num_vertices() const { return blocked_.size(); }
-  std::size_t id(int i, int j) const {
-    return static_cast<std::size_t>(j) * nx_ + i;
-  }
-  geom::Point point(std::size_t v) const {
-    return {xs_[v % static_cast<std::size_t>(nx_)],
-            ys_[v / static_cast<std::size_t>(nx_)]};
-  }
+  std::size_t num_vertices() const { return points_.size(); }
+  geom::Point point(std::size_t v) const { return points_[v]; }
 
-  /// Nearest graph vertex to `p` (terminals are members by construction,
-  /// up to the snap).
-  std::size_t vertex_of(const geom::Point& p) const {
-    const auto xi = std::lower_bound(xs_.begin(), xs_.end(), p.x - kLineSnap);
-    const auto yi = std::lower_bound(ys_.begin(), ys_.end(), p.y - kLineSnap);
-    const int i = static_cast<int>(std::min<std::ptrdiff_t>(
-        xi - xs_.begin(), nx_ - 1));
-    const int j = static_cast<int>(std::min<std::ptrdiff_t>(
-        yi - ys_.begin(), ny_ - 1));
-    return id(i, j);
+  /// The vertex of terminal `t` of the last build (a terminal is an
+  /// escape point, so a vertex).
+  std::size_t terminal_vertex(std::size_t t) const {
+    const auto [i, j] = terminals_[t];
+    const double x = x_.lines[static_cast<std::size_t>(i)];
+    const auto begin = points_.begin() + row_first_[static_cast<std::size_t>(j)];
+    const auto end = points_.begin() + row_first_[static_cast<std::size_t>(j) + 1];
+    return static_cast<std::size_t>(
+        std::lower_bound(begin, end, x,
+                         [](const geom::Point& q, double v) { return q.x < v; }) -
+        points_.begin());
   }
 
   /// Pass 1 of a Steiner round: the length D* of a shortest path from
@@ -212,9 +439,9 @@ class EscapeGraph {
         after);
     s.restart();
     for (std::size_t src : sources) {
-      if (blocked_[src] || s.reached(src)) continue;
+      if (isolated(src) || s.reached(src)) continue;
       s.reach(src, 0.0, kNoVertex);
-      open.push({manhattan_to(targets, src), 0.0, src});
+      open.push({manhattan_to(targets, points_[src]), 0.0, src});
     }
     while (!open.empty()) {
       const Entry e = open.top();
@@ -222,11 +449,11 @@ class EscapeGraph {
       ++pops;
       if (e.g > s.dist(e.v)) continue;
       if (targets.contains(e.v)) return e.g;
-      expand(e.v, [&](std::size_t u, int i, int j, double w) {
+      expand(e.v, [&](std::size_t u, const geom::Point& pu, double w) {
         const double g = e.g + w;
         if (g < s.dist(u) - kRelaxEps) {
           s.reach(u, g, kNoVertex);
-          open.push({g + manhattan_to(targets, i, j), g, u});
+          open.push({g + manhattan_to(targets, pu), g, u});
         }
       });
     }
@@ -247,8 +474,8 @@ class EscapeGraph {
     std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
     s.restart();
     for (std::size_t src : sources) {
-      if (blocked_[src] || s.reached(src) ||
-          manhattan_to(targets, src) > bound) {
+      if (isolated(src) || s.reached(src) ||
+          manhattan_to(targets, points_[src]) > bound) {
         continue;
       }
       s.reach(src, 0.0, kNoVertex);
@@ -264,10 +491,10 @@ class EscapeGraph {
         goal = v;
         break;
       }
-      expand(v, [&](std::size_t u, int i, int j, double w) {
+      expand(v, [&](std::size_t u, const geom::Point& pu, double w) {
         const double g = d + w;
         if (g < s.dist(u) - kRelaxEps &&
-            g + manhattan_to(targets, i, j) <= bound) {
+            g + manhattan_to(targets, pu) <= bound) {
           s.reach(u, g, static_cast<std::uint32_t>(v));
           pq.emplace(g, u);
         }
@@ -281,108 +508,188 @@ class EscapeGraph {
   }
 
  private:
-  /// Sorts one axis's coordinates and keeps each only when it lies
-  /// kLineSnap or more above the last one kept.
-  static void snap_lines(std::vector<double>& lines) {
-    std::sort(lines.begin(), lines.end());
-    std::size_t kept = 0;
-    for (const double c : lines) {
-      if (kept == 0 || c - lines[kept - 1] >= kLineSnap) lines[kept++] = c;
+  /// Sweeps the rows upwards, with `active_` marking the columns whose
+  /// vertical segment spans the row and `last_` holding each such
+  /// column's latest vertex.  A row's vertices are its escape points, its
+  /// segments' ends, the ends of the vertical segments that start or end
+  /// on it, and the active columns its segments cross.  `marks_` collects
+  /// them, and only its marked words are read back, in column order, so a
+  /// row costs its marks and its segments' words, not the grid's width.
+  /// Consecutive vertices inside one segment get an edge.
+  void sweep_rows() {
+    const int nx = x_.size(), ny = y_.size();
+    active_.assign((static_cast<std::size_t>(nx) + 63) / 64, 0);
+    marks_.assign(active_.size(), 0);
+    last_.resize(static_cast<std::size_t>(nx));
+    points_.clear();
+    edges_.clear();
+    row_first_.resize(static_cast<std::size_t>(ny) + 1);
+    for (int j = 0; j < ny; ++j) {
+      row_first_[static_cast<std::size_t>(j)] =
+          static_cast<std::uint32_t>(points_.size());
+      for (const int i : vstarts_.of(j)) {
+        set_active(i, true);
+        last_[static_cast<std::size_t>(i)] = kNoVertex;
+      }
+      const std::span<int> at = sorted_unique(row_escapes_.of(j));
+      runs_.clear();
+      hpieces_.runs_through(j, at, nx - 1, runs_);
+      for (const int i : at) mark(i);
+      for (const Span& r : runs_) {
+        mark(r.lo);
+        mark(r.hi);
+        for (int w = r.lo / 64; w <= r.hi / 64; ++w) {
+          mark_word(w, active_[static_cast<std::size_t>(w)] & word_mask(w, r));
+        }
+      }
+      for (const int i : vstarts_.of(j)) mark(i);
+      for (const int i : vends_.of(j)) mark(i);
+      auto run = runs_.cbegin();
+      int prev = -1;
+      std::sort(marked_words_.begin(), marked_words_.end());
+      for (const int w : marked_words_) {
+        for (std::uint64_t bits =
+                 std::exchange(marks_[static_cast<std::size_t>(w)], 0);
+             bits != 0; bits &= bits - 1) {
+          const int i = w * 64 + std::countr_zero(bits);
+          const auto v = static_cast<std::uint32_t>(points_.size());
+          points_.push_back({x_.lines[static_cast<std::size_t>(i)],
+                             y_.lines[static_cast<std::size_t>(j)]});
+          while (run != runs_.cend() && run->hi < i) ++run;
+          if (run != runs_.cend() && prev >= run->lo) {
+            edges_.push_back({v - 1, v});
+          }
+          if (is_active(i)) {
+            std::uint32_t& below = last_[static_cast<std::size_t>(i)];
+            if (below != kNoVertex) edges_.push_back({below, v});
+            below = v;
+          }
+          prev = i;
+        }
+      }
+      marked_words_.clear();
+      for (const int i : vends_.of(j)) set_active(i, false);
     }
-    lines.resize(kept);
+    row_first_[static_cast<std::size_t>(ny)] =
+        static_cast<std::uint32_t>(points_.size());
   }
 
-  /// Marks every (x, y) grid cell covered by the half-open obstacle span,
-  /// exactly reproducing Rect::contains on each coordinate pair.
-  static void mark_covered(const std::vector<double>& xcoords,
-                           const std::vector<double>& ycoords,
-                           const geom::Rect& o, int stride,
-                           std::vector<bool>& grid) {
-    if (stride <= 0) return;
-    const auto ix0 =
-        std::lower_bound(xcoords.begin(), xcoords.end(), o.x) - xcoords.begin();
-    const auto ix1 =
-        std::lower_bound(xcoords.begin(), xcoords.end(), o.right()) -
-        xcoords.begin();
-    const auto iy0 =
-        std::lower_bound(ycoords.begin(), ycoords.end(), o.y) - ycoords.begin();
-    const auto iy1 =
-        std::lower_bound(ycoords.begin(), ycoords.end(), o.top()) -
-        ycoords.begin();
-    for (auto j = iy0; j < iy1; ++j) {
-      const auto row = grid.begin() + j * stride;
-      std::fill(row + ix0, row + ix1, true);
+  /// Turns the edge list into CSR adjacency.
+  void link() {
+    first_.assign(points_.size() + 1, 0);
+    for (const auto& [a, b] : edges_) {
+      ++first_[a + 1];
+      ++first_[b + 1];
+    }
+    for (std::size_t v = 1; v < first_.size(); ++v) first_[v] += first_[v - 1];
+    adj_.resize(first_.back());
+    fill_.assign(first_.begin(), first_.end() - 1);
+    for (const auto& [a, b] : edges_) {
+      adj_[fill_[a]++] = b;
+      adj_[fill_[b]++] = a;
     }
   }
 
-  /// Manhattan distance from grid point (i, j) to the nearest target: a
-  /// lower bound on any obstacle-avoiding path to one.
-  double manhattan_to(const Targets& targets, int i, int j) const {
-    const double x = xs_[static_cast<std::size_t>(i)];
-    const double y = ys_[static_cast<std::size_t>(j)];
+  /// Sorts `v` and drops repeats; returns the distinct prefix.
+  static std::span<int> sorted_unique(std::span<int> v) {
+    std::sort(v.begin(), v.end());
+    return v.first(static_cast<std::size_t>(
+        std::unique(v.begin(), v.end()) - v.begin()));
+  }
+
+  bool is_active(int i) const {
+    return (active_[static_cast<std::size_t>(i) / 64] >> (i % 64)) & 1u;
+  }
+  void set_active(int i, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    std::uint64_t& word = active_[static_cast<std::size_t>(i) / 64];
+    word = on ? word | bit : word & ~bit;
+  }
+  void mark(int i) { mark_word(i / 64, std::uint64_t{1} << (i % 64)); }
+  /// Marks `bits` of word `w`, listing the word when it was clear.
+  void mark_word(int w, std::uint64_t bits) {
+    std::uint64_t& word = marks_[static_cast<std::size_t>(w)];
+    if (word == 0 && bits != 0) marked_words_.push_back(w);
+    word |= bits;
+  }
+  /// The bits of word `w` that lie in [r.lo, r.hi].
+  static std::uint64_t word_mask(int w, Span r) {
+    std::uint64_t m = ~std::uint64_t{0};
+    if (w == r.lo / 64) m &= m << (r.lo % 64);
+    if (w == r.hi / 64 && r.hi % 64 != 63) {
+      m &= (std::uint64_t{1} << (r.hi % 64 + 1)) - 1;
+    }
+    return m;
+  }
+
+  /// Manhattan distance from `p` to the nearest target: a lower bound on
+  /// any obstacle-avoiding path to one.
+  static double manhattan_to(const Targets& targets, const geom::Point& p) {
     double h = kInf;
     for (const auto& t : targets.points) {
-      h = std::min(h, std::abs(x - t.x) + std::abs(y - t.y));
+      h = std::min(h, std::abs(p.x - t.x) + std::abs(p.y - t.y));
     }
     return h;
   }
-  double manhattan_to(const Targets& targets, std::size_t v) const {
-    return manhattan_to(targets,
-                        static_cast<int>(v % static_cast<std::size_t>(nx_)),
-                        static_cast<int>(v / static_cast<std::size_t>(nx_)));
-  }
 
-  /// Calls visit(u, i, j, w) for each neighbour u = (i, j) of `v` joined
-  /// to it by an unblocked edge of length w (the edge's midpoint lies in
-  /// no obstacle: the midpoint of two adjacent grid lines is exact, so
-  /// the edge bitmaps match a per-query obstacle scan bit for bit).
+  /// A vertex without edges (a blocked or walled-in pin) reaches nothing,
+  /// so a search does not start from it.
+  bool isolated(std::size_t v) const { return first_[v] == first_[v + 1]; }
+
+  /// Calls visit(u, point(u), w) for each neighbour u of `v`, w being the
+  /// edge's length: the two ends share one coordinate, so w is the exact
+  /// difference of the other.
   template <class Visit>
   void expand(std::size_t v, Visit&& visit) const {
-    const std::size_t row = static_cast<std::size_t>(nx_);
-    const int i = static_cast<int>(v % row);
-    const int j = static_cast<int>(v / row);
-    const auto ui = static_cast<std::size_t>(i);
-    const auto uj = static_cast<std::size_t>(j);
-    if (i > 0 && !blocked_[v - 1] && !hblocked_[uj * (row - 1) + ui - 1]) {
-      visit(v - 1, i - 1, j, xs_[ui] - xs_[ui - 1]);
-    }
-    if (i + 1 < nx_ && !blocked_[v + 1] && !hblocked_[uj * (row - 1) + ui]) {
-      visit(v + 1, i + 1, j, xs_[ui + 1] - xs_[ui]);
-    }
-    if (j > 0 && !blocked_[v - row] && !vblocked_[(uj - 1) * row + ui]) {
-      visit(v - row, i, j - 1, ys_[uj] - ys_[uj - 1]);
-    }
-    if (j + 1 < ny_ && !blocked_[v + row] && !vblocked_[uj * row + ui]) {
-      visit(v + row, i, j + 1, ys_[uj + 1] - ys_[uj]);
+    const geom::Point pv = points_[v];
+    for (std::uint32_t k = first_[v]; k < first_[v + 1]; ++k) {
+      const std::uint32_t u = adj_[k];
+      const geom::Point pu = points_[u];
+      visit(u, pu, std::abs(pu.x - pv.x) + std::abs(pu.y - pv.y));
     }
   }
 
-  std::vector<geom::Rect> obstacles_;
-  std::vector<double> xs_, ys_;
-  std::vector<double> xmid_, ymid_;  ///< midpoints of adjacent grid lines
-  int nx_ = 0, ny_ = 0;
-  std::vector<bool> blocked_;            ///< vertex inside an obstacle
-  std::vector<bool> hblocked_, vblocked_;  ///< edge midpoint inside one
+  // The graph.
+  std::vector<geom::Point> points_;       ///< vertices, row-major
+  std::vector<std::uint32_t> row_first_;  ///< first vertex of each y line
+  std::vector<std::uint32_t> first_;      ///< CSR offsets into adj_
+  std::vector<std::uint32_t> adj_;        ///< neighbours
+  std::vector<std::pair<int, int>> terminals_;  ///< (x line, y line)
+
+  // Build storage, kept between builds.
+  std::vector<geom::Rect> raw_;
+  Axis x_, y_;
+  Buckets<int> row_escapes_, col_escapes_, vstarts_, vends_;
+  LinePieces hpieces_, vpieces_;
+  std::vector<Span> runs_;
+  std::vector<std::uint64_t> active_, marks_;
+  std::vector<int> marked_words_;  ///< the non-zero words of marks_
+  std::vector<std::uint32_t> last_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
+  std::vector<std::uint32_t> fill_;
 };
 
-/// route_net over a caller-owned scratch; adds its escape graph's size to
-/// `vertices` and its heap pops to `pops`.
+/// route_net over a caller-owned graph and search scratch; adds its escape
+/// graph's size to `vertices` and its heap pops to `pops`.
 SteinerTree route_in_scratch(std::span<const geom::Point> terminals,
                              std::span<const geom::Rect> obstacles,
-                             double clearance, RouteScratch& scratch,
-                             std::uint64_t& vertices, std::uint64_t& pops) {
+                             double clearance, EscapeGraph& g,
+                             RouteScratch& scratch, std::uint64_t& vertices,
+                             std::uint64_t& pops) {
   SteinerTree tree;
   if (terminals.size() < 2) {
     for (const auto& t : terminals) tree.nodes.push_back(t);
     return tree;
   }
-  const EscapeGraph g(terminals, obstacles, clearance);
+  g.build(terminals, obstacles, clearance);
   vertices += g.num_vertices();
   scratch.fit(g.num_vertices());
 
   std::vector<std::size_t> term_v;
   term_v.reserve(terminals.size());
-  for (const auto& t : terminals) term_v.push_back(g.vertex_of(t));
+  for (std::size_t t = 0; t < terminals.size(); ++t) {
+    term_v.push_back(g.terminal_vertex(t));
+  }
 
   // Grow the tree from the first terminal, attaching the nearest remaining
   // terminal through a shortest obstacle-avoiding path each round.
@@ -443,10 +750,11 @@ SteinerTree route_in_scratch(std::span<const geom::Point> terminals,
 SteinerTree route_net(std::span<const geom::Point> terminals,
                       std::span<const geom::Rect> obstacles,
                       double clearance) {
+  EscapeGraph graph;
   RouteScratch scratch;
   std::uint64_t vertices = 0, pops = 0;
-  return route_in_scratch(terminals, obstacles, clearance, scratch, vertices,
-                          pops);
+  return route_in_scratch(terminals, obstacles, clearance, graph, scratch,
+                          vertices, pops);
 }
 
 std::vector<Conduit> to_conduits(const SteinerTree& tree,
@@ -500,12 +808,18 @@ GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs) {
   GlobalRoute gr;
+  EscapeGraph graph;
   RouteScratch scratch;
-  // Above this block count the escape graph is clipped to a window around
-  // each net's pins (obstacles far outside the pin bounding box cannot
-  // improve the route, but their Hanan lines quadratically inflate the
-  // grid).  Small instances keep the historic full-canvas graph so their
-  // routes stay bit-identical.
+  // Above this block count each net's escape graph is clipped to a window
+  // around its pins: obstacles far outside the pins' bounding box add
+  // lines and escape segments but rarely shorten the route.  Measured on
+  // sa placements (seed 3): at 500 blocks the window halves route time
+  // (ota:500:1: 1.59 M -> 0.48 M vertices, 0.20 -> 0.10 s) at equal
+  // wirelength.  At 20-64 blocks it would cut vertices 3-20x and route
+  // time 2-4x (driver:64:4: 147 k -> 12 k vertices, 7.4 -> 2.0 ms) with
+  // wirelength within 1 % either way.  Small instances keep the full
+  // canvas: no window can cut a detour off there, no net needs the retry
+  // below, and the whole graph costs a few ms per job.
   constexpr int kWindowMinBlocks = 64;
   const bool windowed = inst.num_blocks() > kWindowMinBlocks;
   std::vector<char> on_net(static_cast<std::size_t>(inst.num_blocks()), 0);
@@ -541,15 +855,15 @@ GlobalRoute global_route(const floorplan::Instance& inst,
       SteinerTree tree;
       try {
         tree = route_in_scratch(pins, gather_obstacles(windowed),
-                                kDefaultClearance, scratch, gr.vertices,
-                                gr.expanded);
+                                kDefaultClearance, graph, scratch,
+                                gr.vertices, gr.expanded);
       } catch (const std::runtime_error&) {
         // A pin walled in by window-boundary obstacles may still escape on
         // the full graph; retry once before declaring the net failed.
         if (!windowed) throw;
         tree = route_in_scratch(pins, gather_obstacles(false),
-                                kDefaultClearance, scratch, gr.vertices,
-                                gr.expanded);
+                                kDefaultClearance, graph, scratch,
+                                gr.vertices, gr.expanded);
       }
       gr.total_wirelength += tree.length();
       const auto cs = to_conduits(tree, name);
@@ -567,6 +881,7 @@ GlobalRoute global_route(const floorplan::Instance& inst,
   // freed heap pages resident, so hand them back before layout generation
   // and DRC build on top of them.  The conduits outlive the call (layout
   // generation reads them), so they keep no growth slack either.
+  graph = {};
   scratch = {};
   gr.conduits.shrink_to_fit();
 #ifdef __GLIBC__

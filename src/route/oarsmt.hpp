@@ -1,26 +1,39 @@
 // Obstacle-Avoiding Rectilinear Steiner Minimal Tree (OARSMT) global
 // router (Section IV-E; as in [13]).
 //
-// Per net: an escape graph is built from the Hanan coordinates of the
-// terminals plus the (slightly inflated) obstacle boundaries, with lines
-// closer than kLineSnap collapsed onto the lowest of them; terminals
-// are connected one at a time via shortest paths over the graph
-// (nearest-terminal-first Steiner construction).  The resulting tree is
-// segmented into per-layer conduits that guide detailed routing:
-// horizontal segments on layer 1, vertical on layer 2.
+// Per net: the router builds the Ganley–Cohoon escape graph (Ganley &
+// Cohoon, ISCAS 1994) straight from the obstacles.  Its Hanan lines are
+// the terminals' coordinates and the raw edges of every obstacle whose
+// rect, shrunk by the clearance, is non-empty; lines closer than
+// kLineSnap collapse onto the lowest of them.  A crossing of two lines,
+// or the piece of line between two adjacent crossings, is blocked when a
+// shrunk obstacle contains it (for a piece: either end or its midpoint).
+// From every escape point, each terminal and each such obstacle's four
+// corners, a segment runs along its row and its column in both
+// directions up to the first blocked piece.  The vertices are the escape
+// points, the segments' ends and the crossings of a horizontal with a
+// vertical segment; consecutive vertices on a segment are joined by an
+// edge as long as the difference of their coordinates.  The graph keeps
+// a shortest obstacle-avoiding path between any two escape points, at a
+// few percent of the full Hanan grid's vertices, and no nx x ny array is
+// ever allocated.  Terminals are connected one at a time via shortest
+// paths over the graph (nearest-terminal-first Steiner construction); a
+// tree branches only at graph vertices.  The resulting tree is segmented
+// into per-layer conduits that guide detailed routing: horizontal
+// segments on layer 1, vertical on layer 2.
 //
-// Each Steiner round searches twice.  An A* pass (h = Manhattan distance
-// to the nearest remaining terminal, a lower bound no obstacle can beat)
-// finds only the distance D* to the nearest terminal.  The path pass is a
-// multi-source Dijkstra in (distance, vertex id) order that relaxes an
-// edge only when it improves a distance by more than 1e-12 um, and it
-// never reaches a vertex whose lower bound g + h exceeds D* + 1e-6 um.
-// Along a shortest path g + h never decreases, so every vertex that can
-// set a path vertex's distance or predecessor passes that bound: the pass
-// picks the same terminal and the same path, bit for bit, as the
+// Each Steiner round searches the graph's CSR adjacency twice.  An A*
+// pass (h = Manhattan distance to the nearest remaining terminal, a lower
+// bound no obstacle can beat) finds only the distance D* to the nearest
+// terminal.  The path pass is a multi-source Dijkstra in (distance,
+// vertex id) order, ids running row-major as on the full grid, that
+// relaxes an edge only when it improves a distance by more than 1e-12 um,
+// and it never reaches a vertex whose lower bound g + h exceeds D* + 1e-6
+// um.  Along a shortest path g + h never decreases, so every vertex that
+// can set a path vertex's distance or predecessor passes that bound: the
+// pass picks the same terminal and the same path, bit for bit, as the
 // unbounded Dijkstra, while popping only vertices that can lie on a
-// shortest path to it (in open space, the box between the tree and the
-// terminal) instead of the whole disk around the tree.
+// shortest path to it instead of the whole disk around the tree.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +66,13 @@ struct Conduit {
 /// Obstacle shrink that keeps edges along block boundaries legal.
 inline constexpr double kDefaultClearance = 0.05;
 
-/// Hanan lines closer than this (um) are one line.  A block edge that two
-/// different float sums reach lands an ulp or so apart; kept apart, the
-/// two lines would double the grid rows between them and leave ulp-long
+/// Hanan lines closer than this (um) are one line.  A coordinate that two
+/// different float sums reach (a pin placed on a block edge, say) lands an
+/// ulp or so from the edge; kept apart, the two lines would leave ulp-long
 /// tree edges.  The escape graph keeps a sorted coordinate only when it
-/// lies at least this far above the last one kept, and looks a point's
-/// vertex up with the same tolerance, so a terminal in a collapsed cluster
-/// maps onto the cluster's lowest line.
+/// lies at least this far above the last one kept, and puts a point on
+/// the first line at or above its coordinate minus this tolerance, so a
+/// terminal in a collapsed cluster maps onto the cluster's lowest line.
 inline constexpr double kLineSnap = 1e-9;
 
 /// Routes one net.  `terminals` are pin locations; `obstacles` are regions
@@ -102,9 +115,10 @@ struct GlobalRoute {
 /// Routes every net of the instance over the placed blocks.  Blocks not on
 /// the net act as obstacles; pins sit on block boundaries per each block's
 /// preferred routing direction (derived from the structure type when the
-/// graph is available; here: north).  One search scratch, sized to the
-/// largest escape graph so far, serves every net and is freed on return;
-/// on glibc the call then hands its freed heap pages back to the system.
+/// graph is available; here: north).  One escape graph's storage and one
+/// search scratch, each sized to the largest net so far, serve every net
+/// and are freed on return; on glibc the call then hands its freed heap
+/// pages back to the system.
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs = {});

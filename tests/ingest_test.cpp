@@ -236,6 +236,7 @@ TEST(SpiceParser, ToSpiceRoundTripsBitForBit) {
     SCOPED_TRACE(orig.name());
     const auto nl = parse(orig.to_spice());
     EXPECT_EQ(nl.name(), orig.name());
+    EXPECT_EQ(nl.ports(), orig.ports());
     ASSERT_EQ(nl.num_devices(), orig.num_devices());
     for (int i = 0; i < orig.num_devices(); ++i) {
       const auto& a = orig.device(i);

@@ -13,6 +13,7 @@
 #include <queue>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -75,73 +76,93 @@ bool segment_crosses(const geom::Point& a, const geom::Point& b,
   return false;
 }
 
-/// The unbounded router, kept as the oracle for route_net: a multi-source
-/// Dijkstra in (dist, id) order over the whole escape graph each Steiner
-/// round, accepting a relaxation only when it improves a distance by more
-/// than 1e-12, with vertices and edge midpoints tested against every
-/// shrunk obstacle.  Its Hanan lines are snapped as the graph's are (a
-/// sorted coordinate is kept only kLineSnap or more above the last one
-/// kept), since the snap shapes the graph, not the search.  route_net's
-/// bounded two-pass search must return the identical tree, and throw
-/// exactly when this does.
-SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
-                             std::span<const geom::Rect> obstacles,
-                             double clearance = kDefaultClearance) {
-  SteinerTree tree;
-  if (terminals.size() < 2) {
-    tree.nodes.assign(terminals.begin(), terminals.end());
-    return tree;
-  }
-  std::vector<geom::Rect> shrunk;
-  std::vector<double> xcoords, ycoords;
-  for (const auto& t : terminals) {
-    xcoords.push_back(t.x);
-    ycoords.push_back(t.y);
-  }
-  for (const auto& o : obstacles) {
-    const geom::Rect s = o.inflated(-clearance);
-    if (s.empty()) continue;
-    shrunk.push_back(s);
-    xcoords.push_back(s.x - clearance);
-    xcoords.push_back(s.right() + clearance);
-    ycoords.push_back(s.y - clearance);
-    ycoords.push_back(s.top() + clearance);
-  }
-  auto snap = [](std::vector<double> coords) {
-    std::sort(coords.begin(), coords.end());
-    std::vector<double> lines;
-    for (const double c : coords) {
-      if (lines.empty() || c - lines.back() >= kLineSnap) lines.push_back(c);
+/// The Hanan grid of a net as both oracles see it: lines at the pins'
+/// coordinates and at the raw edges of every obstacle whose shrunk rect
+/// (inflated by -clearance) is non-empty, snapped as the router snaps them
+/// (a sorted coordinate is kept only kLineSnap or more above the last one
+/// kept), and every point tested against every shrunk obstacle.  Vertex
+/// ids are row-major, j * nx + i.
+struct HananGrid {
+  std::vector<geom::Rect> raw, shrunk;
+  std::vector<double> xs, ys;
+
+  HananGrid(std::span<const geom::Point> terminals,
+            std::span<const geom::Rect> obstacles, double clearance) {
+    std::vector<double> xcoords, ycoords;
+    for (const auto& t : terminals) {
+      xcoords.push_back(t.x);
+      ycoords.push_back(t.y);
     }
-    return lines;
-  };
-  const std::vector<double> xs = snap(std::move(xcoords));
-  const std::vector<double> ys = snap(std::move(ycoords));
-  const int nx = static_cast<int>(xs.size());
-  const int ny = static_cast<int>(ys.size());
-  const std::size_t nv = xs.size() * ys.size();
-  auto covered = [&](const geom::Point& p) {
+    for (const auto& o : obstacles) {
+      const geom::Rect s = o.inflated(-clearance);
+      if (s.empty()) continue;
+      raw.push_back(o);
+      shrunk.push_back(s);
+      xcoords.push_back(o.x);
+      xcoords.push_back(o.right());
+      ycoords.push_back(o.y);
+      ycoords.push_back(o.top());
+    }
+    auto snap = [](std::vector<double> coords) {
+      std::sort(coords.begin(), coords.end());
+      std::vector<double> lines;
+      for (const double c : coords) {
+        if (lines.empty() || c - lines.back() >= kLineSnap) lines.push_back(c);
+      }
+      return lines;
+    };
+    xs = snap(std::move(xcoords));
+    ys = snap(std::move(ycoords));
+  }
+
+  int nx() const { return static_cast<int>(xs.size()); }
+  int ny() const { return static_cast<int>(ys.size()); }
+  std::size_t size() const { return xs.size() * ys.size(); }
+  std::size_t id(int i, int j) const {
+    return static_cast<std::size_t>(j) * xs.size() + static_cast<std::size_t>(i);
+  }
+  geom::Point point(std::size_t v) const {
+    return {xs[v % xs.size()], ys[v / xs.size()]};
+  }
+  bool covered(const geom::Point& p) const {
     for (const auto& s : shrunk) {
       if (s.contains(p)) return true;
     }
     return false;
-  };
-  auto point = [&](std::size_t v) {
-    return geom::Point{xs[v % xs.size()], ys[v / xs.size()]};
-  };
-  auto vertex_of = [&](const geom::Point& p) {
+  }
+  /// The piece between adjacent crossings a and b is blocked when a
+  /// shrunk obstacle contains either crossing or the piece's midpoint.
+  bool blocked(std::size_t a, std::size_t b) const {
+    const geom::Point pa = point(a), pb = point(b);
+    return covered(pa) || covered(pb) ||
+           covered({(pa.x + pb.x) / 2.0, (pa.y + pb.y) / 2.0});
+  }
+  std::size_t vertex_of(const geom::Point& p) const {
     const auto i = std::lower_bound(xs.begin(), xs.end(), p.x - kLineSnap) -
                    xs.begin();
     const auto j = std::lower_bound(ys.begin(), ys.end(), p.y - kLineSnap) -
                    ys.begin();
-    return static_cast<std::size_t>(std::min<std::ptrdiff_t>(j, ny - 1)) *
-               xs.size() +
-           static_cast<std::size_t>(std::min<std::ptrdiff_t>(i, nx - 1));
-  };
-  std::vector<std::size_t> tree_vertices = {vertex_of(terminals[0])};
+    return id(static_cast<int>(std::min<std::ptrdiff_t>(i, nx() - 1)),
+              static_cast<int>(std::min<std::ptrdiff_t>(j, ny() - 1)));
+  }
+};
+
+/// Neighbours of every Hanan vertex id in a graph over the grid.
+using Adjacency = std::vector<std::vector<std::size_t>>;
+
+/// The unbounded router over `adj`: a multi-source Dijkstra in (dist, id)
+/// order over the whole graph each Steiner round, accepting a relaxation
+/// only when it improves a distance by more than 1e-12, each edge as long
+/// as the Manhattan distance between its ends.  Throws when some terminal
+/// is unreachable.
+SteinerTree oracle_steiner(const HananGrid& grid,
+                           std::span<const geom::Point> terminals,
+                           const Adjacency& adj) {
+  const std::size_t nv = grid.size();
+  std::vector<std::size_t> tree_vertices = {grid.vertex_of(terminals[0])};
   std::set<std::size_t> remaining;
   for (std::size_t k = 1; k < terminals.size(); ++k) {
-    remaining.insert(vertex_of(terminals[k]));
+    remaining.insert(grid.vertex_of(terminals[k]));
   }
   remaining.erase(tree_vertices[0]);
   std::vector<std::pair<std::size_t, std::size_t>> vedges;
@@ -152,7 +173,6 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
     using QE = std::pair<double, std::size_t>;
     std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
     for (std::size_t s : tree_vertices) {
-      if (covered(point(s))) continue;
       dist[s] = 0.0;
       pq.emplace(0.0, s);
     }
@@ -165,18 +185,8 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
         goal = v;
         break;
       }
-      const int i = static_cast<int>(v % xs.size());
-      const int j = static_cast<int>(v / xs.size());
-      const std::array<std::pair<int, int>, 4> nbrs{
-          {{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}}};
-      for (const auto& [ni, nj] : nbrs) {
-        if (ni < 0 || ni >= nx || nj < 0 || nj >= ny) continue;
-        const std::size_t u = static_cast<std::size_t>(nj) * xs.size() +
-                              static_cast<std::size_t>(ni);
-        const geom::Point a = point(v), b = point(u);
-        if (covered(b) || covered({(a.x + b.x) / 2.0, (a.y + b.y) / 2.0})) {
-          continue;
-        }
+      for (const std::size_t u : adj[v]) {
+        const geom::Point a = grid.point(v), b = grid.point(u);
         const double w = std::abs(b.x - a.x) + std::abs(b.y - a.y);
         if (dist[v] + w < dist[u] - 1e-12) {
           dist[u] = dist[v] + w;
@@ -206,7 +216,8 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
     return static_cast<int>(std::lower_bound(vids.begin(), vids.end(), v) -
                             vids.begin());
   };
-  for (std::size_t v : vids) tree.nodes.push_back(point(v));
+  SteinerTree tree;
+  for (std::size_t v : vids) tree.nodes.push_back(grid.point(v));
   std::set<std::pair<int, int>> dedup;
   for (const auto& [a, b] : vedges) {
     int ia = index_of(a), ib = index_of(b);
@@ -215,6 +226,122 @@ SteinerTree oracle_route_net(std::span<const geom::Point> terminals,
   }
   tree.edges.assign(dedup.begin(), dedup.end());
   return tree;
+}
+
+/// The length oracle: the unbounded router over the full Hanan grid, every
+/// unblocked piece an edge.
+SteinerTree hanan_oracle_route_net(std::span<const geom::Point> terminals,
+                                   std::span<const geom::Rect> obstacles,
+                                   double clearance) {
+  if (terminals.size() < 2) {
+    return {{terminals.begin(), terminals.end()}, {}};
+  }
+  const HananGrid grid(terminals, obstacles, clearance);
+  Adjacency adj(grid.size());
+  for (int j = 0; j < grid.ny(); ++j) {
+    for (int i = 0; i < grid.nx(); ++i) {
+      const std::size_t v = grid.id(i, j);
+      if (i + 1 < grid.nx() && !grid.blocked(v, grid.id(i + 1, j))) {
+        adj[v].push_back(grid.id(i + 1, j));
+        adj[grid.id(i + 1, j)].push_back(v);
+      }
+      if (j + 1 < grid.ny() && !grid.blocked(v, grid.id(i, j + 1))) {
+        adj[v].push_back(grid.id(i, j + 1));
+        adj[grid.id(i, j + 1)].push_back(v);
+      }
+    }
+  }
+  return oracle_steiner(grid, terminals, adj);
+}
+
+/// The escape oracle: the unbounded router over the escape graph, derived
+/// on the Hanan grid.  From every unblocked escape point (each pin, each
+/// corner of an obstacle whose shrunk rect is non-empty) it walks the
+/// point's row and column in both directions over unblocked pieces, up to
+/// the first blocked piece or the last line, marking the pieces walked.
+/// Vertices are the escape points, the walks' ends and the crossings with
+/// a marked piece on their row and on their column; consecutive vertices
+/// on a line are joined when every piece between them is marked.
+/// route_net's direct build and bounded search must return its tree bit
+/// for bit.
+SteinerTree escape_oracle_route_net(std::span<const geom::Point> terminals,
+                                    std::span<const geom::Rect> obstacles,
+                                    double clearance) {
+  if (terminals.size() < 2) {
+    return {{terminals.begin(), terminals.end()}, {}};
+  }
+  const HananGrid grid(terminals, obstacles, clearance);
+  const int nx = grid.nx(), ny = grid.ny();
+  std::vector<std::size_t> escapes;
+  for (const auto& t : terminals) escapes.push_back(grid.vertex_of(t));
+  for (const auto& o : grid.raw) {
+    for (const geom::Point c : {geom::Point{o.x, o.y}, {o.right(), o.y},
+                                {o.x, o.top()}, {o.right(), o.top()}}) {
+      escapes.push_back(grid.vertex_of(c));
+    }
+  }
+  // hmark[id(i, j)]: piece (i, j)-(i + 1, j) lies on a horizontal escape
+  // segment; vmark[id(i, j)]: piece (i, j)-(i, j + 1) on a vertical one.
+  std::vector<char> vertex(grid.size(), 0), hmark(grid.size(), 0),
+      vmark(grid.size(), 0);
+  for (const std::size_t e : escapes) {
+    vertex[e] = 1;
+    if (grid.covered(grid.point(e))) continue;
+    const int i = static_cast<int>(e % grid.xs.size());
+    const int j = static_cast<int>(e / grid.xs.size());
+    int k = i;
+    for (; k + 1 < nx && !grid.blocked(grid.id(k, j), grid.id(k + 1, j)); ++k) {
+      hmark[grid.id(k, j)] = 1;
+    }
+    vertex[grid.id(k, j)] = 1;
+    for (k = i; k > 0 && !grid.blocked(grid.id(k - 1, j), grid.id(k, j)); --k) {
+      hmark[grid.id(k - 1, j)] = 1;
+    }
+    vertex[grid.id(k, j)] = 1;
+    for (k = j; k + 1 < ny && !grid.blocked(grid.id(i, k), grid.id(i, k + 1)); ++k) {
+      vmark[grid.id(i, k)] = 1;
+    }
+    vertex[grid.id(i, k)] = 1;
+    for (k = j; k > 0 && !grid.blocked(grid.id(i, k - 1), grid.id(i, k)); --k) {
+      vmark[grid.id(i, k - 1)] = 1;
+    }
+    vertex[grid.id(i, k)] = 1;
+  }
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const bool on_h = (i > 0 && hmark[grid.id(i - 1, j)]) ||
+                        (i + 1 < nx && hmark[grid.id(i, j)]);
+      const bool on_v = (j > 0 && vmark[grid.id(i, j - 1)]) ||
+                        (j + 1 < ny && vmark[grid.id(i, j)]);
+      if (on_h && on_v) vertex[grid.id(i, j)] = 1;
+    }
+  }
+  Adjacency adj(grid.size());
+  auto join = [&](std::size_t a, std::size_t b) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  };
+  for (int j = 0; j < ny; ++j) {
+    int last = -1;  // the previous vertex on the row, while marks join it
+    for (int i = 0; i < nx; ++i) {
+      if (vertex[grid.id(i, j)]) {
+        if (last >= 0) join(grid.id(last, j), grid.id(i, j));
+        last = i;
+      }
+      if (i + 1 < nx && !hmark[grid.id(i, j)]) last = -1;
+    }
+  }
+  for (int i = 0; i < nx; ++i) {
+    int last = -1;
+    for (int j = 0; j < ny; ++j) {
+      if (vertex[grid.id(i, j)]) {
+        if (last >= 0) join(grid.id(i, last), grid.id(i, j));
+        last = j;
+      }
+      if (j + 1 < ny && !vmark[grid.id(i, j)]) last = -1;
+    }
+  }
+  return oracle_steiner(grid, terminals, adj);
 }
 
 bool same_tree(const SteinerTree& a, const SteinerTree& b) {
@@ -227,71 +354,114 @@ bool same_tree(const SteinerTree& a, const SteinerTree& b) {
   return true;
 }
 
-TEST(RouteNet, BoundedSearchMatchesUnboundedOracle) {
-  // Seeded obstacle fields, half on an integer lattice (many equal-length
-  // paths, so the (dist, id) tie-break decides) and half on arbitrary
-  // coordinates; 2-6 pins, some on obstacle edges as block pins sit and
-  // every fifth field with a pin walled in by a ring of four walls (a
-  // third of the rings leave a gap).  route_net must return the oracle's
-  // tree bit for bit, or throw exactly when the oracle does.
+/// One seeded routing problem for the oracle cases.
+struct Field {
+  std::vector<geom::Point> pins;
+  std::vector<geom::Rect> obstacles;
+  double clearance = kDefaultClearance;
+};
+
+/// 400 seeded obstacle fields, half on an integer lattice (many
+/// equal-length paths, so the (dist, id) tie-break decides) and half on
+/// arbitrary coordinates; 2-6 pins, some on obstacle edges as block pins
+/// sit, and every fifth field with a pin walled in by a ring of four walls
+/// (a third of the rings leave a gap).
+std::vector<Field> oracle_fields() {
   std::mt19937_64 rng(0x5eed0a75ull);
   auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
-  int routed = 0, unreachable = 0;
+  std::vector<Field> fields;
   for (int field = 0; field < 400; ++field) {
     const bool lattice = field % 2 == 0;
     auto coord = [&](double span) {
       const double c = unit() * span;
       return lattice ? std::floor(c) : c;
     };
-    std::vector<geom::Rect> obstacles;
+    Field f;
     const int num_obstacles = static_cast<int>(rng() % 25);
     for (int k = 0; k < num_obstacles; ++k) {
-      obstacles.push_back(
+      f.obstacles.push_back(
           {coord(36.0), coord(36.0), 1.0 + coord(8.0), 1.0 + coord(8.0)});
     }
-    std::vector<geom::Point> pins;
     const int num_pins = 2 + static_cast<int>(rng() % 5);
     for (int k = 0; k < num_pins; ++k) {
-      if (!obstacles.empty() && rng() % 3 == 0) {
-        const auto& o = obstacles[rng() % obstacles.size()];
-        pins.push_back({o.x + o.w / 2.0, o.top()});
+      if (!f.obstacles.empty() && rng() % 3 == 0) {
+        const auto& o = f.obstacles[rng() % f.obstacles.size()];
+        f.pins.push_back({o.x + o.w / 2.0, o.top()});
       } else {
-        pins.push_back({coord(40.0), coord(40.0)});
+        f.pins.push_back({coord(40.0), coord(40.0)});
       }
     }
     if (field % 5 == 0) {
-      const geom::Point p = pins[1];
+      const geom::Point p = f.pins[1];
       const double right_h = field % 15 == 0 ? 2.0 : 6.0;
-      obstacles.push_back({p.x - 3.0, p.y - 3.0, 6.0, 1.0});
-      obstacles.push_back({p.x - 3.0, p.y + 2.0, 6.0, 1.0});
-      obstacles.push_back({p.x - 3.0, p.y - 3.0, 1.0, 6.0});
-      obstacles.push_back({p.x + 2.0, p.y - 3.0, 1.0, right_h});
+      f.obstacles.push_back({p.x - 3.0, p.y - 3.0, 6.0, 1.0});
+      f.obstacles.push_back({p.x - 3.0, p.y + 2.0, 6.0, 1.0});
+      f.obstacles.push_back({p.x - 3.0, p.y - 3.0, 1.0, 6.0});
+      f.obstacles.push_back({p.x + 2.0, p.y - 3.0, 1.0, right_h});
     }
-    const double clearance = field % 7 == 0 ? 0.3 : kDefaultClearance;
-    SteinerTree want;
-    bool want_throw = false;
-    try {
-      want = oracle_route_net(pins, obstacles, clearance);
-    } catch (const std::runtime_error&) {
-      want_throw = true;
-    }
-    SteinerTree got;
-    bool got_throw = false;
-    try {
-      got = route_net(pins, obstacles, clearance);
-    } catch (const std::runtime_error&) {
-      got_throw = true;
-    }
-    ASSERT_EQ(got_throw, want_throw) << "field " << field;
-    if (want_throw) {
-      ++unreachable;
-      continue;
-    }
+    f.clearance = field % 7 == 0 ? 0.3 : kDefaultClearance;
+    fields.push_back(std::move(f));
+  }
+  return fields;
+}
+
+using Router = SteinerTree (*)(std::span<const geom::Point>,
+                               std::span<const geom::Rect>, double);
+
+/// Routes `f` with `route`; false when it throws.
+bool try_route(Router route, const Field& f, SteinerTree& tree) {
+  try {
+    tree = route(f.pins, f.obstacles, f.clearance);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(RouteNet, ReturnsTheEscapeOraclesTree) {
+  // route_net must return the escape oracle's tree bit for bit, or throw
+  // exactly when it does: this pins both the direct graph build and the
+  // bounded two-pass search.
+  const std::vector<Field> fields = oracle_fields();
+  int routed = 0;
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    SteinerTree want, got;
+    const bool want_ok = try_route(escape_oracle_route_net, fields[k], want);
+    ASSERT_EQ(try_route(route_net, fields[k], got), want_ok) << "field " << k;
+    if (!want_ok) continue;
     ++routed;
-    EXPECT_TRUE(same_tree(got, want)) << "field " << field;
+    EXPECT_TRUE(same_tree(got, want)) << "field " << k;
   }
   EXPECT_GE(routed, 200);
-  EXPECT_GE(unreachable, 100);
+  EXPECT_GE(static_cast<int>(fields.size()) - routed, 100);
+}
+
+TEST(RouteNet, MatchesTheHananOraclesLengths) {
+  // The escape graph keeps a shortest path between any two escape points
+  // (Ganley & Cohoon, ISCAS 1994), so a two-pin net routes to the full
+  // Hanan grid's length.  A multi-pin tree can branch only at escape-graph
+  // vertices, so it may come out longer: bounded in sum and per field.
+  // route_net throws exactly when the Hanan oracle does.
+  const std::vector<Field> fields = oracle_fields();
+  int two_pin = 0;
+  double got_sum = 0.0, want_sum = 0.0, worst = 1.0;
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    SteinerTree want, got;
+    const bool want_ok = try_route(hanan_oracle_route_net, fields[k], want);
+    ASSERT_EQ(try_route(route_net, fields[k], got), want_ok) << "field " << k;
+    if (!want_ok) continue;
+    if (fields[k].pins.size() == 2) {
+      ++two_pin;
+      EXPECT_NEAR(got.length(), want.length(), 1e-9) << "field " << k;
+    } else {
+      got_sum += got.length();
+      want_sum += want.length();
+      worst = std::max(worst, got.length() / want.length());
+    }
+  }
+  EXPECT_GE(two_pin, 40);
+  EXPECT_LE(got_sum, 1.01 * want_sum);
+  EXPECT_LE(worst, 1.15);
 }
 
 TEST(RouteNet, TwoTerminalStraightLine) {
@@ -528,10 +698,10 @@ TEST(GlobalRoute, WirelengthGrowsWithSpread) {
 // routed and the resulting GlobalRoute (every tree's nodes and edges, the
 // conduits, the total_wirelength bits, the net names and failed_nets) is
 // reduced to a 64-bit FNV-1a fingerprint, compared with the recorded table
-// below.  The Table I circuits (under 64 blocks) take the full-canvas
-// escape graph; the 100- and 250-block scenarios take the windowed one,
-// and their seeded overlaps wall some pins in, so the full-canvas retry
-// and the failure path are pinned as well.  One Table I circuit and one
+// below.  The Table I circuits (under 64 blocks) route on the full canvas;
+// the 100-, 250- and 1000-block scenarios route each net on a window
+// around its pins, and their seeded overlaps wall some pins in, so the
+// full-canvas retry and the failure path are pinned as well.  One Table I circuit and one
 // 100-block scenario are also placed with every block abutting its
 // neighbours, as the packers place them: their shared edges reach the
 // escape graph through different float sums, so they pin the line snap.
@@ -668,7 +838,7 @@ std::map<std::string, RouteCase> route_cases() {
   }
   for (const char* spec : {"ota:100:1", "bias:100:2", "latch:100:3",
                            "driver:100:4", "ota:250:5", "bias:250:6",
-                           "latch:250:7", "driver:250:8"}) {
+                           "latch:250:7", "driver:250:8", "ota:1000:1"}) {
     const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse(spec));
     cases[std::string(spec) + "#1"] = make_case(sc.netlist, 1);
   }
@@ -701,84 +871,87 @@ struct Golden {
   std::uint64_t value;
 };
 
-// Route fingerprints, recorded with the snapped Hanan lines.
+// Route fingerprints, recorded on the sparse escape graph.
 constexpr Golden kRouteGolden[] = {
-    {"bias1#1", 0xff74b7ae0bcaa3a2ull},
-    {"bias1#2", 0xa02bb6a5587eaabfull},
-    {"bias2#1", 0xfc2f124f5acdcda9ull},
-    {"bias2#1/abut", 0x92536653dedd8c77ull},
-    {"bias2#2", 0xbcee2f8e5f48b6b0ull},
-    {"bias:100:2#1", 0xb2bf2eecf8de13c7ull},
-    {"bias:250:6#1", 0xad4fe0f18985f59dull},
-    {"driver#1", 0x857ac0e96900e4a0ull},
-    {"driver#2", 0xcabdb7df23110148ull},
-    {"driver:100:4#1", 0x67b676b728477ef2ull},
-    {"driver:250:8#1", 0x36779384d59ba26dull},
-    {"latch:100:3#1", 0xc196b2edd3d6523aull},
-    {"latch:250:7#1", 0xe7a9512199425488ull},
-    {"ota1#1", 0x26a67bca11a0b709ull},
-    {"ota1#2", 0xf3f953dca0c743dfull},
-    {"ota2#1", 0xadce1e98c944e332ull},
-    {"ota2#2", 0x7c20a6cf0987eec4ull},
-    {"ota:100:1#1", 0xf4abc17aa0c5e797ull},
-    {"ota:100:1#1/abut", 0x8ffab1cdcf7a1cf2ull},
-    {"ota:250:5#1", 0x897fbfc33241b888ull},
-    {"rs_latch#1", 0x811db2c4266f6b32ull},
-    {"rs_latch#2", 0x12343126ba5b12c5ull},
+    {"bias1#1", 0x7eba6d4926c10668ull},
+    {"bias1#2", 0x980261fbead63308ull},
+    {"bias2#1", 0xf3096b8bdfa8fd12ull},
+    {"bias2#1/abut", 0x9e9cecd16c676709ull},
+    {"bias2#2", 0x060bd4213e59728dull},
+    {"bias:100:2#1", 0xcb9b0dec386423daull},
+    {"bias:250:6#1", 0x1bbc34dddb2fb472ull},
+    {"driver#1", 0xba9c16dd609814f4ull},
+    {"driver#2", 0x00f64faa8a8d5771ull},
+    {"driver:100:4#1", 0xa8046684bd382aa8ull},
+    {"driver:250:8#1", 0x0da1a9146b1c25c7ull},
+    {"latch:100:3#1", 0xbc8954448bfafdafull},
+    {"latch:250:7#1", 0xa3b766926371ec76ull},
+    {"ota1#1", 0x454d26efc9f6baa1ull},
+    {"ota1#2", 0x2b2f00d672844618ull},
+    {"ota2#1", 0xc57d1150ea1f4496ull},
+    {"ota2#2", 0x635442e87c75bd68ull},
+    {"ota:1000:1#1", 0xc72ff23ccaa2f927ull},
+    {"ota:100:1#1", 0x41fffc29d3602d76ull},
+    {"ota:100:1#1/abut", 0xcbae126ea534730eull},
+    {"ota:250:5#1", 0xef7f5135bf6478b5ull},
+    {"rs_latch#1", 0xffc5d0b6b2667bc3ull},
+    {"rs_latch#2", 0x30db516dd7f01d48ull},
 };
 
 // Heap pops (GlobalRoute::expanded), recorded with the bounded two-pass
-// search over the snapped lines.
+// search over the sparse escape graph.
 constexpr Golden kExpandedGolden[] = {
-    {"bias1#1", 342},
-    {"bias1#2", 427},
-    {"bias2#1", 1657},
-    {"bias2#1/abut", 898},
-    {"bias2#2", 1849},
-    {"bias:100:2#1", 62693},
-    {"bias:250:6#1", 972692},
-    {"driver#1", 2295},
-    {"driver#2", 1064},
-    {"driver:100:4#1", 185853},
-    {"driver:250:8#1", 2136264},
-    {"latch:100:3#1", 123560},
-    {"latch:250:7#1", 1454421},
-    {"ota1#1", 98},
+    {"bias1#1", 283},
+    {"bias1#2", 254},
+    {"bias2#1", 900},
+    {"bias2#1/abut", 537},
+    {"bias2#2", 918},
+    {"bias:100:2#1", 13840},
+    {"bias:250:6#1", 113980},
+    {"driver#1", 1033},
+    {"driver#2", 755},
+    {"driver:100:4#1", 37191},
+    {"driver:250:8#1", 223906},
+    {"latch:100:3#1", 25620},
+    {"latch:250:7#1", 162103},
+    {"ota1#1", 92},
     {"ota1#2", 60},
-    {"ota2#1", 462},
-    {"ota2#2", 289},
-    {"ota:100:1#1", 109686},
-    {"ota:100:1#1/abut", 37096},
-    {"ota:250:5#1", 1537018},
-    {"rs_latch#1", 205},
-    {"rs_latch#2", 161},
+    {"ota2#1", 304},
+    {"ota2#2", 229},
+    {"ota:1000:1#1", 3263409},
+    {"ota:100:1#1", 23256},
+    {"ota:100:1#1/abut", 8536},
+    {"ota:250:5#1", 165292},
+    {"rs_latch#1", 147},
+    {"rs_latch#2", 133},
 };
 
-// Escape-graph vertices (GlobalRoute::vertices), recorded with the snapped
-// lines.
+// Escape-graph vertices (GlobalRoute::vertices), recorded on the sparse
+// escape graph.
 constexpr Golden kVerticesGolden[] = {
-    {"bias1#1", 1133},
-    {"bias1#2", 1152},
-    {"bias2#1", 10341},
-    {"bias2#1/abut", 5724},
-    {"bias2#2", 10781},
-    {"bias:100:2#1", 284796},
-    {"bias:250:6#1", 5073400},
-    {"driver#1", 5727},
-    {"driver#2", 5089},
-    {"driver:100:4#1", 521760},
-    {"driver:250:8#1", 7736241},
-    {"latch:100:3#1", 485646},
-    {"latch:250:7#1", 6954311},
-    {"ota1#1", 190},
-    {"ota1#2", 176},
-    {"ota2#1", 1014},
-    {"ota2#2", 952},
-    {"ota:100:1#1", 396654},
-    {"ota:100:1#1/abut", 187232},
-    {"ota:250:5#1", 6433975},
-    {"rs_latch#1", 341},
-    {"rs_latch#2", 344},
+    {"bias1#1", 687},
+    {"bias1#2", 621},
+    {"bias2#1", 3654},
+    {"bias2#1/abut", 1977},
+    {"bias2#2", 3812},
+    {"bias:100:2#1", 41580},
+    {"bias:250:6#1", 349018},
+    {"driver#1", 2277},
+    {"driver#2", 2316},
+    {"driver:100:4#1", 64998},
+    {"driver:250:8#1", 442328},
+    {"latch:100:3#1", 68641},
+    {"latch:250:7#1", 481060},
+    {"ota1#1", 160},
+    {"ota1#2", 149},
+    {"ota2#1", 652},
+    {"ota2#2", 641},
+    {"ota:1000:1#1", 8737667},
+    {"ota:100:1#1", 53240},
+    {"ota:100:1#1/abut", 25556},
+    {"ota:250:5#1", 447844},
+    {"rs_latch#1", 232},
+    {"rs_latch#2", 231},
 };
 
 /// Compares `actual` against `table`; returns the rows to paste when any
@@ -814,7 +987,7 @@ TEST(RouteGolden, MatchesRecordedFingerprints) {
     windowed += r.windowed ? 1 : 0;
     (r.windowed ? failed_windowed : failed_full) += r.route.failed_nets;
   }
-  EXPECT_EQ(windowed, 9);
+  EXPECT_EQ(windowed, 10);
   EXPECT_GT(failed_full, 0) << "no full-canvas case walls a pin in";
   EXPECT_GT(failed_windowed, 0) << "no windowed case walls a pin in";
   const std::string bad = mismatches(actual, kRouteGolden,
@@ -848,11 +1021,12 @@ TEST(RouteGolden, MatchesRecordedWork) {
 }
 
 TEST(GlobalRoute, AbuttingBlocksLeaveNoNearDuplicateLines) {
-  // Abutting blocks share edges that the escape graph reaches through
-  // different float sums (a rect's own edge, and its neighbour's edge
-  // shrunk by the clearance and grown back).  Each routed tree comes from
-  // one snapped graph, so no two distinct x (or y) values among its nodes
-  // may lie closer than kLineSnap.
+  // Abutting blocks share edges that reach the router through different
+  // float sums (a rect's own right edge, its neighbour's x).  The escape
+  // graph takes its lines from the blocks' raw edges and snaps each net's
+  // lines, so no two distinct x (or y) values among a tree's nodes, nor
+  // among all trees of a placement together, may lie closer than
+  // kLineSnap.
   auto near_duplicates = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -867,6 +1041,7 @@ TEST(GlobalRoute, AbuttingBlocksLeaveNoNearDuplicateLines) {
     if (!name.ends_with(kAbut)) continue;
     ++abutting;
     ASSERT_FALSE(r.route.trees.empty()) << name;
+    std::vector<double> all_xs, all_ys;
     for (std::size_t t = 0; t < r.route.trees.size(); ++t) {
       std::vector<double> xs, ys;
       for (const auto& p : r.route.trees[t].nodes) {
@@ -875,7 +1050,11 @@ TEST(GlobalRoute, AbuttingBlocksLeaveNoNearDuplicateLines) {
       }
       EXPECT_EQ(near_duplicates(xs), 0) << name << " tree " << t << " (x)";
       EXPECT_EQ(near_duplicates(ys), 0) << name << " tree " << t << " (y)";
+      all_xs.insert(all_xs.end(), xs.begin(), xs.end());
+      all_ys.insert(all_ys.end(), ys.begin(), ys.end());
     }
+    EXPECT_EQ(near_duplicates(all_xs), 0) << name << " all trees (x)";
+    EXPECT_EQ(near_duplicates(all_ys), 0) << name << " all trees (y)";
   }
   EXPECT_EQ(abutting, 2);
 }
