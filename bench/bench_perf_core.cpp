@@ -56,16 +56,24 @@ struct Row {
   double speedup() const { return fast_s > 0.0 ? naive_s / fast_s : 0.0; }
 };
 
-/// Times fn under both kernel paths.
+/// The tier the "fast" columns time: the active one, or auto when
+/// AFP_KERNEL_TIER selects the naive tier the other column times.
+num::KernelTier fast_tier() {
+  const num::KernelTier t = num::kernel_tier();
+  return t == num::KernelTier::kNaive ? num::KernelTier::kAuto : t;
+}
+
+/// Times fn under both kernel paths; leaves the fast tier set.
 template <class Fn>
 Row compare(const std::string& name, int iters, Fn&& fn) {
   Row row;
   row.name = name;
-  num::set_naive_kernels(false);
+  const num::KernelTier fast = fast_tier();
+  num::set_kernel_tier(fast);
   row.fast_s = time_median(iters, fn);
-  num::set_naive_kernels(true);
+  num::set_kernel_tier(num::KernelTier::kNaive);
   row.naive_s = time_median(std::max(1, iters / 2), fn);
-  num::set_naive_kernels(false);
+  num::set_kernel_tier(fast);
   return row;
 }
 
@@ -224,11 +232,13 @@ Row bench_rgcn_forward(std::mt19937_64& rng) {
   num::NoGradGuard ng;
   Row row;
   row.name = "rgcn_forward_n256";
+  const num::KernelTier fast = fast_tier();
+  num::set_kernel_tier(fast);
   row.fast_s = time_median(scaled(20), [&] { (void)layer.forward(h, adj_csr); });
-  num::set_naive_kernels(true);
+  num::set_kernel_tier(num::KernelTier::kNaive);
   row.naive_s =
       time_median(scaled(10), [&] { (void)layer.forward(h, adj_dense); });
-  num::set_naive_kernels(false);
+  num::set_kernel_tier(fast);
   std::printf("%-28s sparse %6.2f ms  dense-naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());
@@ -248,10 +258,12 @@ Row bench_spmm(std::mt19937_64& rng) {
   num::NoGradGuard ng;
   Row row;
   row.name = "spmm_n1024_nnz8k";
+  const num::KernelTier fast = fast_tier();
+  num::set_kernel_tier(fast);
   row.fast_s = time_median(scaled(50), [&] { (void)num::spmm(a, h); });
-  num::set_naive_kernels(true);
+  num::set_kernel_tier(num::KernelTier::kNaive);
   row.naive_s = time_median(scaled(5), [&] { (void)num::matmul(ad, h); });
-  num::set_naive_kernels(false);
+  num::set_kernel_tier(fast);
   std::printf("%-28s sparse %6.3f ms  dense-naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());
@@ -288,11 +300,12 @@ Row bench_training_step() {
   };
   Row row;
   row.name = "ppo_training_step";
-  num::set_naive_kernels(false);
+  const num::KernelTier fast = fast_tier();
+  num::set_kernel_tier(fast);
   row.fast_s = timed_iterations(std::max(1, scaled(4)));
-  num::set_naive_kernels(true);
+  num::set_kernel_tier(num::KernelTier::kNaive);
   row.naive_s = timed_iterations(std::max(1, scaled(2)));
-  num::set_naive_kernels(false);
+  num::set_kernel_tier(fast);
   std::printf("%-28s fast %8.2f ms  naive %8.2f ms  speedup %5.2fx\n",
               row.name.c_str(), row.fast_s * 1e3, row.naive_s * 1e3,
               row.speedup());

@@ -5,11 +5,11 @@
 # pipeline must write a bitwise-identical --report for AFP_NUM_THREADS in
 # {1, 4} and across two repeats.  The report contains the full-precision
 # best cost, metrics, rectangles and routed wirelength and no timings, so
-# any byte of drift means the search or routing path diverged.  ota_small
-# routes on the full canvas; the 100-block scenario routes each net on a
-# window around its pins.  Each run is a separate process with its own
-# address layout, so a stage that iterates a pointer-keyed or unordered
-# container shows up here as drift.
+# any byte of drift means the search or routing path diverged.  Every net
+# routes on a window around its pins first; the 100-block scenario gives
+# that path far more nets and obstacles than ota_small does.  Each run is
+# a separate process with its own address layout, so a stage that iterates
+# a pointer-keyed or unordered container shows up here as drift.
 #
 # Invoked by CTest as:
 #   cmake -DAFP_CLI=<path-to-afp_cli> -DWORK_DIR=<scratch-dir> -P e2e_determinism.cmake
@@ -22,7 +22,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(tiers naive scalar avx2 auto)
 
 # name;args... per run: one plain SA, one multi-start parallel tempering,
-# one SA whose nets route on windows.
+# one SA on a 100-block scenario.
 set(runs
     "sa\;ota_small\;--baseline\;sa\;--iters\;120"
     "pt\;ota_small\;--baseline\;pt\;--restarts\;2\;--pt-replicas\;4\;--pt-swap-interval\;8\;--iters\;60"

@@ -271,9 +271,17 @@ int constraint_violations(const Instance& inst,
   return violated;
 }
 
-bool constraints_satisfied(const Instance& inst,
-                           const std::vector<geom::Rect>& rects, double tol) {
-  return constraint_violations(inst, rects, tol, nullptr) == 0;
+double eq5_cost(const Instance& inst, const geom::Rect& bb, double hpwl,
+                double block_area, const RewardWeights& w) {
+  // A perfect packing (zero dead space) at the reference wirelength and
+  // target aspect ratio scores 0.
+  double r = w.alpha * (bb.area() / std::max(1e-12, block_area) - 1.0) +
+             w.beta * (hpwl / inst.hpwl_ref - 1.0);
+  if (inst.target_aspect) {
+    const double d = *inst.target_aspect - geom::aspect_ratio(bb);
+    r += w.gamma * d * d;
+  }
+  return r;
 }
 
 Evaluation evaluate_floorplan(const Instance& inst,
@@ -290,19 +298,8 @@ Evaluation evaluate_floorplan(const Instance& inst,
       constraint_violations(inst, rects, constraint_tol,
                             &ev.constraint_items);
   ev.constraints_ok = ev.constraint_violations == 0;
-  if (!ev.constraints_ok) {
-    ev.reward = w.violation_penalty;
-    return ev;
-  }
-  // Zero-referenced Eq. (5): a perfect packing (zero dead space) at the
-  // reference wirelength and target aspect ratio scores 0.
-  double r = w.alpha * (ev.area / std::max(1e-12, total) - 1.0) +
-             w.beta * (ev.hpwl / inst.hpwl_ref - 1.0);
-  if (inst.target_aspect) {
-    const double d = *inst.target_aspect - ev.aspect;
-    r += w.gamma * d * d;
-  }
-  ev.reward = -r;
+  ev.reward = ev.constraints_ok ? -eq5_cost(inst, bb, ev.hpwl, total, w)
+                                : w.violation_penalty;
   return ev;
 }
 

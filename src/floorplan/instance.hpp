@@ -94,6 +94,15 @@ Evaluation evaluate_floorplan(const Instance& inst,
                               const RewardWeights& w = {},
                               double constraint_tol = 1e-6);
 
+/// The Eq. (5) cost, zero-referenced, of a placement with bounding box
+/// `bb` and wirelength `hpwl`: alpha (area / block_area - 1) + beta (hpwl /
+/// hpwl_ref - 1) + gamma (R* - R)^2, the last term only when the instance
+/// has a target aspect ratio R*.  `block_area` is inst.total_block_area(),
+/// passed in so that callers scoring many placements can cache it.  A
+/// constraint-clean floorplan's reward is its negation.
+double eq5_cost(const Instance& inst, const geom::Rect& bb, double hpwl,
+                double block_area, const RewardWeights& w = {});
+
 /// HPWL over block centers for the instance's nets.
 double hpwl_of(const Instance& inst, const std::vector<geom::Rect>& rects);
 
@@ -139,12 +148,6 @@ class HpwlCache {
 int constraint_violations(const Instance& inst,
                           const std::vector<geom::Rect>& rects, double tol,
                           int* total_items = nullptr);
-
-/// Checks the instance's symmetry / alignment constraints on continuous
-/// rectangles with tolerance `tol` (um).
-bool constraints_satisfied(const Instance& inst,
-                           const std::vector<geom::Rect>& rects,
-                           double tol = 1e-6);
 
 /// Graded soft penalty for the metaheuristic cost: 0 when satisfied, up to
 /// 10.0 when every item is violated.  Proportional to the violation

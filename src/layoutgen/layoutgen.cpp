@@ -87,7 +87,6 @@ Layout generate_layout(const floorplan::Instance& inst,
   // same Hanan line.  Residual crowding shows up as DRC spacing
   // violations — the cases Section V-C attributes to manual channel
   // refinement.
-  const double pitch = cfg.wire_width + cfg.wire_spacing;
   std::map<std::string, std::size_t> net_index;
   for (const auto& c : gr.conduits) {
     net_index.emplace(c.net, net_index.size());

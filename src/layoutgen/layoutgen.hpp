@@ -5,9 +5,11 @@
 //      geometry on their preferred routing edge.
 //   2. Channel definition: every global-routing conduit expands into a
 //      routing channel (a padded corridor on its layer).
-//   3. Detailed routing: conduits become wire rectangles; parallel
-//      same-layer wires of different nets are separated by a greedy track
-//      assignment; layer changes get via squares.
+//   3. Detailed routing: conduits become wire rectangles; each net is
+//      shifted as a whole onto one of 16 lanes (4 offsets per axis, 1.25
+//      wire widths apart: net_lane_offset), which keeps the net connected
+//      while separating it from other nets' wires on the same line; layer
+//      changes get via squares.
 //   4. Verification: DRC-style checks (same-layer spacing between
 //      different nets, wires within the outline) and an LVS-style check
 //      (each net's wires + pins form one connected component).

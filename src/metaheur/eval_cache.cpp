@@ -124,26 +124,15 @@ void RectScorer::bind(const floorplan::Instance& inst) {
 
 double RectScorer::cost(const std::vector<geom::Rect>& rects,
                         const std::vector<int>& moved, bool full) {
-  // Mirrors sp_cost(evaluate_floorplan(inst, rects)) term by term.  On the
-  // satisfied branch sp_cost returns -(-r) == r bitwise (IEEE negation is a
-  // sign-bit flip); on the violated branch it re-evaluates a copied instance
-  // with constraints stripped, whose reward terms are identical to ours, and
-  // adds the soft penalty.  Using the cached total area and the incremental
-  // HPWL keeps every contributing double bit-identical to the legacy path.
-  const floorplan::RewardWeights w;
-  const geom::Rect bb = geom::bounding_box(rects);
-  const double area = bb.area();
+  // sp_cost's sum, with the cached total area and the incremental HPWL in
+  // place of the full rescans; both give the same doubles bit for bit.
   const double hpwl = this->hpwl(rects, moved, full);
   int total = 0;
   const int violated = floorplan::constraint_violations(*inst_, rects, 1e-6,
                                                         &total);
-  double r = w.alpha * (area / std::max(1e-12, total_area_) - 1.0) +
-             w.beta * (hpwl / inst_->hpwl_ref - 1.0);
-  if (inst_->target_aspect) {
-    const double d = *inst_->target_aspect - geom::aspect_ratio(bb);
-    r += w.gamma * d * d;
-  }
-  return r + floorplan::constraint_penalty(violated, total);
+  return floorplan::eq5_cost(*inst_, geom::bounding_box(rects), hpwl,
+                             total_area_) +
+         floorplan::constraint_penalty(violated, total);
 }
 
 double RectScorer::hpwl(const std::vector<geom::Rect>& rects,

@@ -57,10 +57,8 @@ class TranspositionCache {
 
 namespace detail {
 
-/// Shared rect -> cost scoring with the per-net HPWL cache.  Mirrors the
-/// arithmetic of sp_cost(evaluate_floorplan(...)) term by term so the
-/// result is bitwise identical without re-deriving a relaxed instance on
-/// every constraint violation.
+/// Shared rect -> cost scoring with the per-net HPWL cache: sp_cost's
+/// floorplan::eq5_cost plus constraint penalty, bitwise identical to it.
 class RectScorer {
  public:
   void bind(const floorplan::Instance& inst);

@@ -120,7 +120,6 @@ void apply_move(SequencePair& sp, Move move, std::mt19937_64& rng) {
 
 double sp_cost(const floorplan::Instance& inst,
                const std::vector<geom::Rect>& rects) {
-  floorplan::RewardWeights w;
   // Score geometry without the -50 cliff: metaheuristics need a smooth
   // landscape, so constraint violations add a graded penalty (proportional
   // to the violated-item fraction) instead — repairing one more symmetry
@@ -128,13 +127,10 @@ double sp_cost(const floorplan::Instance& inst,
   int total = 0;
   const int violated = floorplan::constraint_violations(inst, rects, 1e-6,
                                                         &total);
-  if (violated == 0) {
-    return -floorplan::evaluate_floorplan(inst, rects, w).reward;
-  }
-  floorplan::Instance relaxed = inst;
-  relaxed.constraints = {};
-  const auto free_ev = floorplan::evaluate_floorplan(relaxed, rects, w);
-  return -free_ev.reward + floorplan::constraint_penalty(violated, total);
+  return floorplan::eq5_cost(inst, geom::bounding_box(rects),
+                             floorplan::hpwl_of(inst, rects),
+                             inst.total_block_area()) +
+         floorplan::constraint_penalty(violated, total);
 }
 
 }  // namespace afp::metaheur

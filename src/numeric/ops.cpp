@@ -612,7 +612,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                shape_str(a.shape()) + " x " +
                                shape_str(b.shape()));
   const int n = b.shape()[1];
-  if (naive_kernels()) return matmul_naive(a, b);
+  if (kernel_tier() == KernelTier::kNaive) return matmul_naive(a, b);
 
   auto out = detail::acquire_buffer(static_cast<std::size_t>(m) * n);
   gemm_nn(m, k, n, a.data(), b.data(), out->data(), /*accumulate=*/false);
@@ -690,7 +690,7 @@ Tensor linear_relu(const Tensor& x, const Tensor& w, const Tensor& b) {
   check(b.size() == n, "linear_relu: bias size mismatch");
   // The naive tier has no fused kernel: compose the reference ops so the
   // parity tests can diff against it.
-  if (naive_kernels()) return relu(linear(x, w, b));
+  if (kernel_tier() == KernelTier::kNaive) return relu(linear(x, w, b));
 
   auto out = detail::acquire_buffer(static_cast<std::size_t>(m) * n);
   {
@@ -1107,7 +1107,9 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   const int OH = (H + 2 * pad - KH) / stride + 1;
   const int OW = (W + 2 * pad - KW) / stride + 1;
   check(OH > 0 && OW > 0, "conv2d: output would be empty");
-  if (naive_kernels()) return conv2d_naive(x, w, b, stride, pad);
+  if (kernel_tier() == KernelTier::kNaive) {
+    return conv2d_naive(x, w, b, stride, pad);
+  }
 
   const std::int64_t CK = static_cast<std::int64_t>(IC) * KH * KW;
   const std::int64_t ohw = static_cast<std::int64_t>(OH) * OW;
@@ -1188,7 +1190,9 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
   const int OH = (H - 1) * stride - 2 * pad + KH;
   const int OW = (W - 1) * stride - 2 * pad + KW;
   check(OH > 0 && OW > 0, "conv_transpose2d: output would be empty");
-  if (naive_kernels()) return conv_transpose2d_naive(x, w, b, stride, pad);
+  if (kernel_tier() == KernelTier::kNaive) {
+    return conv_transpose2d_naive(x, w, b, stride, pad);
+  }
 
   // The transposed conv is conv2d's input-gradient: with Wmat viewed as
   // [IC, OC*KH*KW], col[OC*KH*KW, B*H*W] = Wmatᵀ · x_mat, and the output is

@@ -29,16 +29,6 @@
 
 namespace afp::num {
 
-// -- kernel selection --------------------------------------------------------
-/// When true, matmul / conv2d / conv_transpose2d run the original scalar
-/// reference kernels instead of the blocked GEMM path (and linear_relu
-/// decomposes into relu(linear(...))).  Used by the parity tests and
-/// bench_perf_core; equivalent to the "naive" AFP_KERNEL_TIER value, which
-/// initializes it.  Tier selection beyond the naive toggle lives in
-/// numeric/simd.hpp.
-bool naive_kernels();
-void set_naive_kernels(bool naive);
-
 // -- elementwise binary (identical shapes) ---------------------------------
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);

@@ -12,11 +12,6 @@
 #endif
 
 namespace afp::num {
-
-// Declared in ops.hpp; implemented here next to the tier state.
-bool naive_kernels();
-void set_naive_kernels(bool naive);
-
 namespace {
 
 // ===================================================================== scalar
@@ -624,28 +619,22 @@ KernelTier resolve_auto() {
   return KernelTier::kScalar;
 }
 
-struct TierState {
-  bool naive = false;         ///< naive reference toggle (set_naive_kernels)
-  KernelTier tier = KernelTier::kScalar;  ///< active fast tier
-};
-
-TierState init_state() {
-  TierState st;
-  st.tier = resolve_auto();
-  if (const char* s = std::getenv("AFP_KERNEL_TIER")) {
-    KernelTier t;
-    if (parse_kernel_tier(s, &t)) {
-      if (t == KernelTier::kNaive) st.naive = true;
-      else if (t == KernelTier::kScalar) st.tier = KernelTier::kScalar;
-      else if (t == KernelTier::kAvx2 && resolve_auto() == KernelTier::kAvx2)
-        st.tier = KernelTier::kAvx2;
-      // kAuto / unsupported avx2 keep the resolved default.
-    }
-  }
-  return st;
+/// The requested tier, resolved: kAuto becomes the CPU's best tier and an
+/// unsupported kAvx2 falls back to kScalar.
+KernelTier resolve(KernelTier tier) {
+  return tier == KernelTier::kAuto || tier == KernelTier::kAvx2
+             ? resolve_auto()
+             : tier;
 }
 
-TierState g_state = init_state();
+KernelTier init_tier() {
+  KernelTier t = KernelTier::kAuto;
+  // A garbage value keeps the resolved default.
+  if (const char* s = std::getenv("AFP_KERNEL_TIER")) parse_kernel_tier(s, &t);
+  return resolve(t);
+}
+
+KernelTier g_tier = init_tier();
 
 }  // namespace
 
@@ -657,30 +646,9 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-KernelTier kernel_tier() {
-  return g_state.naive ? KernelTier::kNaive : g_state.tier;
-}
+KernelTier kernel_tier() { return g_tier; }
 
-void set_kernel_tier(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kNaive:
-      g_state.naive = true;
-      return;
-    case KernelTier::kScalar:
-      g_state.naive = false;
-      g_state.tier = KernelTier::kScalar;
-      return;
-    case KernelTier::kAvx2:
-      g_state.naive = false;
-      g_state.tier = resolve_auto() == KernelTier::kAvx2 ? KernelTier::kAvx2
-                                                         : KernelTier::kScalar;
-      return;
-    case KernelTier::kAuto:
-      g_state.naive = false;
-      g_state.tier = resolve_auto();
-      return;
-  }
-}
+void set_kernel_tier(KernelTier tier) { g_tier = resolve(tier); }
 
 bool parse_kernel_tier(const char* s, KernelTier* out) {
   if (!s || !out) return false;
@@ -703,14 +671,11 @@ const char* kernel_tier_name(KernelTier tier) {
   return "?";
 }
 
-bool naive_kernels() { return g_state.naive; }
-void set_naive_kernels(bool naive) { g_state.naive = naive; }
-
 namespace simd {
 
 const Kernels& kernels() {
 #ifdef AFP_HAVE_AVX2_BUILD
-  if (!g_state.naive && g_state.tier == KernelTier::kAvx2) return kAvx2Kernels;
+  if (g_tier == KernelTier::kAvx2) return kAvx2Kernels;
 #endif
   return kScalarKernels;
 }

@@ -11,7 +11,7 @@
 //
 // Selection: AFP_KERNEL_TIER={naive,scalar,avx2,auto} at startup (default
 // auto = avx2 when the CPU supports it, else scalar), overridable at runtime
-// via set_kernel_tier() or the naive toggle set_naive_kernels().
+// via set_kernel_tier().
 //
 // Determinism contract (same as numeric/parallel.hpp): within a tier, every
 // output element is produced by a fixed floating-point operation sequence
@@ -26,13 +26,13 @@ namespace afp::num {
 
 enum class KernelTier : int { kNaive = 0, kScalar = 1, kAvx2 = 2, kAuto = 3 };
 
-/// The tier ops currently dispatch to (never kAuto; kNaive while the legacy
-/// naive toggle is set).
+/// The tier ops currently dispatch to (never kAuto).  Under kNaive, matmul /
+/// conv2d / conv_transpose2d run the original reference kernels instead of
+/// the blocked GEMM path and linear_relu decomposes into relu(linear(...)).
 KernelTier kernel_tier();
 
 /// Selects a tier.  kAuto re-resolves from the CPU; kAvx2 on a CPU without
-/// AVX2 support falls back to kScalar.  kNaive sets the legacy naive toggle
-/// (and any other tier clears it).
+/// AVX2 support falls back to kScalar.
 void set_kernel_tier(KernelTier tier);
 
 /// Parses "naive"/"scalar"/"avx2"/"auto".  Returns false on unknown input.
@@ -99,7 +99,7 @@ struct Kernels {
 
 /// Table for the active tier.  The naive tier returns the scalar table —
 /// naive-only code paths (seed matmul/conv) live in ops.cpp and are chosen
-/// there via naive_kernels().
+/// there via kernel_tier().
 const Kernels& kernels();
 
 }  // namespace simd

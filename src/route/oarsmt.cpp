@@ -810,18 +810,6 @@ GlobalRoute global_route(const floorplan::Instance& inst,
   GlobalRoute gr;
   EscapeGraph graph;
   RouteScratch scratch;
-  // Above this block count each net's escape graph is clipped to a window
-  // around its pins: obstacles far outside the pins' bounding box add
-  // lines and escape segments but rarely shorten the route.  Measured on
-  // sa placements (seed 3): at 500 blocks the window halves route time
-  // (ota:500:1: 1.59 M -> 0.48 M vertices, 0.20 -> 0.10 s) at equal
-  // wirelength.  At 20-64 blocks it would cut vertices 3-20x and route
-  // time 2-4x (driver:64:4: 147 k -> 12 k vertices, 7.4 -> 2.0 ms) with
-  // wirelength within 1 % either way.  Small instances keep the full
-  // canvas: no window can cut a detour off there, no net needs the retry
-  // below, and the whole graph costs a few ms per job.
-  constexpr int kWindowMinBlocks = 64;
-  const bool windowed = inst.num_blocks() > kWindowMinBlocks;
   std::vector<char> on_net(static_cast<std::size_t>(inst.num_blocks()), 0);
   for (std::size_t ni = 0; ni < inst.nets.size(); ++ni) {
     const auto& net = inst.nets[ni];
@@ -835,11 +823,15 @@ GlobalRoute global_route(const floorplan::Instance& inst,
           block_pin_for_net(rects[static_cast<std::size_t>(b)], dir, ni));
       on_net[static_cast<std::size_t>(b)] = 1;
     }
-    geom::Rect window;
-    if (windowed) {
-      window = geom::bounding_box_points(pins);
-      window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
-    }
+    // Each net first routes on a window around its pins: obstacles far
+    // outside the pins' bounding box add lines and escape segments but
+    // rarely shorten the route.  Measured on sa placements (seed 3), the
+    // window cuts vertices 3-20x and route time 2-4x at 20-64 blocks
+    // (driver:64:4: 147 k -> 12 k vertices, 7.4 -> 2.0 ms) and halves route
+    // time at 500 blocks (ota:500:1: 1.59 M -> 0.48 M vertices), with
+    // wirelength within 1 %.
+    geom::Rect window = geom::bounding_box_points(pins);
+    window = window.inflated(0.25 * std::max(window.w, window.h) + 2.0);
     auto gather_obstacles = [&](bool clip) {
       std::vector<geom::Rect> obstacles;
       for (int b = 0; b < inst.num_blocks(); ++b) {
@@ -854,13 +846,12 @@ GlobalRoute global_route(const floorplan::Instance& inst,
     try {
       SteinerTree tree;
       try {
-        tree = route_in_scratch(pins, gather_obstacles(windowed),
+        tree = route_in_scratch(pins, gather_obstacles(true),
                                 kDefaultClearance, graph, scratch,
                                 gr.vertices, gr.expanded);
       } catch (const std::runtime_error&) {
         // A pin walled in by window-boundary obstacles may still escape on
         // the full graph; retry once before declaring the net failed.
-        if (!windowed) throw;
         tree = route_in_scratch(pins, gather_obstacles(false),
                                 kDefaultClearance, graph, scratch,
                                 gr.vertices, gr.expanded);

@@ -115,10 +115,15 @@ struct GlobalRoute {
 /// Routes every net of the instance over the placed blocks.  Blocks not on
 /// the net act as obstacles; pins sit on block boundaries per each block's
 /// preferred routing direction (derived from the structure type when the
-/// graph is available; here: north).  One escape graph's storage and one
-/// search scratch, each sized to the largest net so far, serve every net
-/// and are freed on return; on glibc the call then hands its freed heap
-/// pages back to the system.
+/// graph is available; here: north).  Every net, at any instance size,
+/// first routes on a window: its pins' bounding box inflated by a quarter
+/// of its longer side plus 2 um, with the blocks that overlap it as
+/// obstacles.  When a pin is walled in there, the net retries once on the
+/// full canvas with every block as an obstacle, and counts as failed only
+/// when that fails too.  One escape graph's storage and one search
+/// scratch, each sized to the largest net so far, serve every net and are
+/// freed on return; on glibc the call then hands its freed heap pages back
+/// to the system.
 GlobalRoute global_route(const floorplan::Instance& inst,
                          const std::vector<geom::Rect>& rects,
                          const std::vector<int>& routing_dirs = {});

@@ -113,12 +113,17 @@ TEST(Evaluate, ViolationGetsPenalty) {
   EXPECT_DOUBLE_EQ(ev.reward, -50.0);
 }
 
+/// Violated constraint items at the continuous optimizers' tolerance.
+int violated(const Instance& inst, const std::vector<geom::Rect>& rects) {
+  return constraint_violations(inst, rects, 1e-6);
+}
+
 TEST(ConstraintsSatisfied, VerticalSymPair) {
   Instance inst = tiny_instance();
   inst.constraints.sym_pairs.push_back({0, 1, true});
-  EXPECT_TRUE(constraints_satisfied(
-      inst, {{0, 0, 8, 8}, {8, 0, 8, 8}}));  // mirrored about x=8
-  EXPECT_FALSE(constraints_satisfied(inst, {{0, 0, 8, 8}, {8, 2, 8, 8}}));
+  // Mirrored about x = 8.
+  EXPECT_EQ(violated(inst, {{0, 0, 8, 8}, {8, 0, 8, 8}}), 0);
+  EXPECT_GT(violated(inst, {{0, 0, 8, 8}, {8, 2, 8, 8}}), 0);
 }
 
 TEST(ConstraintsSatisfied, LoneSymPairRequiresCongruentDims) {
@@ -130,15 +135,15 @@ TEST(ConstraintsSatisfied, LoneSymPairRequiresCongruentDims) {
   inst.constraints.sym_pairs.push_back({0, 1, true});
   // Same row, mismatched footprints: 8x8 vs 4x16 — reflection cannot map
   // one onto the other no matter where the axis sits.
-  EXPECT_FALSE(constraints_satisfied(inst, {{0, 0, 8, 8}, {12, 0, 4, 16}}));
-  EXPECT_FALSE(constraints_satisfied(inst, {{0, 0, 8, 8}, {12, 0, 8, 10}}));
+  EXPECT_GT(violated(inst, {{0, 0, 8, 8}, {12, 0, 4, 16}}), 0);
+  EXPECT_GT(violated(inst, {{0, 0, 8, 8}, {12, 0, 8, 10}}), 0);
   // Congruent and mirrored about the midpoint: satisfied.
-  EXPECT_TRUE(constraints_satisfied(inst, {{0, 0, 8, 8}, {12, 0, 8, 8}}));
+  EXPECT_EQ(violated(inst, {{0, 0, 8, 8}, {12, 0, 8, 8}}), 0);
   // Horizontal pairs get the same treatment.
   Instance hinst = tiny_instance();
   hinst.constraints.sym_pairs.push_back({0, 1, false});
-  EXPECT_FALSE(constraints_satisfied(hinst, {{0, 0, 8, 8}, {0, 12, 16, 4}}));
-  EXPECT_TRUE(constraints_satisfied(hinst, {{0, 0, 8, 8}, {0, 12, 8, 8}}));
+  EXPECT_GT(violated(hinst, {{0, 0, 8, 8}, {0, 12, 16, 4}}), 0);
+  EXPECT_EQ(violated(hinst, {{0, 0, 8, 8}, {0, 12, 8, 8}}), 0);
 }
 
 TEST(ConstraintsSatisfied, SelfSymPinsAxisForPairs) {
@@ -148,17 +153,15 @@ TEST(ConstraintsSatisfied, SelfSymPinsAxisForPairs) {
   inst.constraints.self_syms.push_back({2, true});
   inst.constraints.sym_pairs.push_back({0, 1, true});
   // Self-sym block centered at x=12; pair must mirror about 12.
-  EXPECT_TRUE(constraints_satisfied(
-      inst, {{0, 8, 8, 8}, {16, 8, 8, 8}, {8, 0, 8, 8}}));
-  EXPECT_FALSE(constraints_satisfied(
-      inst, {{0, 8, 8, 8}, {10, 8, 8, 8}, {8, 0, 8, 8}}));
+  EXPECT_EQ(violated(inst, {{0, 8, 8, 8}, {16, 8, 8, 8}, {8, 0, 8, 8}}), 0);
+  EXPECT_GT(violated(inst, {{0, 8, 8, 8}, {10, 8, 8, 8}, {8, 0, 8, 8}}), 0);
 }
 
 TEST(ConstraintsSatisfied, AlignGroups) {
   Instance inst = tiny_instance();
   inst.constraints.align_groups.push_back({{0, 1}, true});
-  EXPECT_TRUE(constraints_satisfied(inst, {{0, 3, 8, 8}, {10, 3, 8, 8}}));
-  EXPECT_FALSE(constraints_satisfied(inst, {{0, 3, 8, 8}, {10, 4, 8, 8}}));
+  EXPECT_EQ(violated(inst, {{0, 3, 8, 8}, {10, 3, 8, 8}}), 0);
+  EXPECT_GT(violated(inst, {{0, 3, 8, 8}, {10, 4, 8, 8}}), 0);
 }
 
 // ---------------------------------------------------------------- grid ---

@@ -113,7 +113,8 @@ TEST(Pipeline, ConstrainedRunSatisfiesConstraintsWhenComplete) {
   // SA may or may not satisfy the constraints (soft penalty), but the
   // evaluation must report it consistently.
   EXPECT_EQ(res.eval.constraints_ok,
-            floorplan::constraints_satisfied(res.instance, res.rects, 1e-6));
+            floorplan::constraint_violations(res.instance, res.rects,
+                                             1e-6) == 0);
 }
 
 TEST(Training, HistoriesAreConsistent) {

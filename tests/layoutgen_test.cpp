@@ -269,8 +269,8 @@ TEST(ContactIndexOracle, RegistryPipelineLayouts) {
 }
 
 TEST(ContactIndexOracle, WindowedScenarioLayout) {
-  // Above 64 blocks global routing clips each net's escape graph to a
-  // window, which shapes the wires differently.
+  // An 80-block scenario layout, larger than any registry circuit's, whose
+  // nets route on windows around their pins like every other layout's.
   ingest::ScenarioSpec spec;
   spec.size = 80;
   const ingest::Scenario sc = ingest::make_scenario(spec);
@@ -279,7 +279,6 @@ TEST(ContactIndexOracle, WindowedScenarioLayout) {
   cfg.scenario_constraints = sc.constraints;
   std::mt19937_64 rng(4);
   const auto res = core::FloorplanPipeline(cfg).run(sc.netlist, rng);
-  ASSERT_GT(res.instance.num_blocks(), 64);
   EXPECT_FALSE(res.drc.violations.empty());
   expect_matches_reference(res.layout, cfg.layout, spec.to_string());
 }

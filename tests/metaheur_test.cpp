@@ -17,7 +17,7 @@ floorplan::Instance instance_of(const netlist::Netlist& nl,
 
 TEST(SequencePair, InitialAndRandomAreValidPermutations) {
   std::mt19937_64 rng(1);
-  for (const SequencePair sp :
+  for (const SequencePair& sp :
        {SequencePair::initial(7), SequencePair::random(7, rng)}) {
     EXPECT_EQ(sp.size(), 7);
     std::vector<int> s1 = sp.s1, s2 = sp.s2;

@@ -16,6 +16,7 @@
 #include "numeric/ops.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/scratch.hpp"
+#include "numeric/simd.hpp"
 #include "numeric/sparse.hpp"
 #include "numeric/tensor.hpp"
 
@@ -51,13 +52,22 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
+/// The tier to compare against the naive reference: the active one, or
+/// auto when the binary runs under AFP_KERNEL_TIER=naive.
+KernelTier fast_tier() {
+  const KernelTier t = kernel_tier();
+  return t == KernelTier::kNaive ? KernelTier::kAuto : t;
+}
+
 /// Runs the graph twice — reference kernels vs fast kernels — on identical
-/// inputs and requires matching forward values and gradients.
+/// inputs and requires matching forward values and gradients.  Leaves the
+/// fast tier set.
 void parity_check(const std::function<Tensor(std::vector<Tensor>&)>& fn,
                   const std::vector<Tensor>& inputs) {
-  set_naive_kernels(true);
+  const KernelTier fast_kernels = fast_tier();
+  set_kernel_tier(KernelTier::kNaive);
   const Eval ref = evaluate(fn, inputs);
-  set_naive_kernels(false);
+  set_kernel_tier(fast_kernels);
   const Eval fast = evaluate(fn, inputs);
   expect_close(ref.out, fast.out, "forward");
   for (std::size_t i = 0; i < ref.grads.size(); ++i) {
@@ -353,8 +363,8 @@ TEST(ScratchArena, NoAllocationGrowthAcrossTrainingIterations) {
   //
   // The naive reference kernels bypass the arena entirely, so pin a fast
   // tier for the duration (the binary may run under AFP_KERNEL_TIER=naive).
-  const bool naive_entry = naive_kernels();
-  set_naive_kernels(false);
+  const KernelTier entry = kernel_tier();
+  set_kernel_tier(fast_tier());
   auto rng = rng_fixed();
   const Tensor x = Tensor::randn({4, 3, 16, 16}, rng, 1.0f);
   Tensor w = Tensor::randn({6, 3, 3, 3}, rng, 0.3f, true);
@@ -379,7 +389,7 @@ TEST(ScratchArena, NoAllocationGrowthAcrossTrainingIterations) {
   EXPECT_EQ(scratch_allocation_count(), allocs)
       << "workspace allocated after warm-up";
   EXPECT_EQ(scratch_allocated_bytes(), bytes);
-  set_naive_kernels(naive_entry);
+  set_kernel_tier(entry);
 }
 
 TEST(Storage, BufferPoolRecyclesFreedBuffers) {

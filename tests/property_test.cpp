@@ -84,7 +84,7 @@ TEST_P(GridProperty, MaskFollowingEpisodesAreSound) {
   // Symmetry is exact (block centers coincide with grid centers);
   // alignment is exact at grid granularity, i.e. within half a cell.
   const double tol = inst.canvas_w / 32.0 / 2.0 + 1e-9;
-  EXPECT_TRUE(floorplan::constraints_satisfied(inst, rects, tol));
+  EXPECT_EQ(floorplan::constraint_violations(inst, rects, tol), 0);
 }
 
 TEST_P(GridProperty, PositionMaskAgreesWithValid) {

@@ -587,13 +587,12 @@ TEST(GlobalRoute, RoutesEveryNetOfPlacedCircuit) {
 }
 
 TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
-  // Above 64 blocks the router clips each net's escape graph to a window
-  // around its pins; the routed trees must still be connected, rectilinear
-  // and cover every multi-pin net of a generated 100-block workload.
+  // The router clips each net's escape graph to a window around its pins;
+  // the routed trees must still be connected, rectilinear and cover every
+  // multi-pin net of a generated 100-block workload.
   const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse("ota:100:3"));
   auto g = graphir::build_graph(sc.netlist, structrec::recognize(sc.netlist));
   auto inst = floorplan::make_instance(g);
-  ASSERT_GT(inst.num_blocks(), 64);
   std::vector<geom::Rect> rects;
   double x = 0.0, y = 0.0, row_h = 0.0;
   int col = 0;
@@ -622,19 +621,19 @@ TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
 }
 
 TEST(GlobalRoute, WindowedRetryEscapesOnTheFullCanvas) {
-  // Above 64 blocks a net first routes on a window around its pins.  Block
-  // 0's pin sits in a pocket of walls (blocks 1-5) whose only exit is a
-  // 0.08 um overlap in the right wall: more than one clearance (0.05), so
-  // each wall part's edge line lies inside the other part, and less than
-  // two, so a channel stays open between the shrunk parts.  No grid line
-  // of the window runs through that channel.  Block 6, far outside the
-  // window, puts its bottom edge on the channel's centre line, so only the
-  // full-canvas retry reaches block 7's pin.
-  constexpr int kBlocks = 70;
+  // A net first routes on a window around its pins, on instances of any
+  // size; this one has 8 blocks.  Block 0's pin sits in a pocket of walls
+  // (blocks 1-5) whose only exit is a 0.08 um overlap in the right wall:
+  // more than one clearance (0.05), so each wall part's edge line lies
+  // inside the other part, and less than two, so a channel stays open
+  // between the shrunk parts.  No grid line of the window runs through
+  // that channel.  Block 6, far outside the window, puts its bottom edge
+  // on the channel's centre line, so only the full-canvas retry reaches
+  // block 7's pin.
   floorplan::Instance inst;
-  inst.blocks.resize(kBlocks);
+  inst.blocks.resize(8);
   inst.nets = {{0, 7}};
-  std::vector<geom::Rect> rects(kBlocks);
+  std::vector<geom::Rect> rects(8);
   rects[0] = {0.0, 0.0, 2.0, 2.0};
   rects[1] = {-3.0, -3.0, 9.0, 1.0};   // bottom wall
   rects[2] = {-3.0, 5.0, 9.0, 1.0};    // top wall
@@ -643,10 +642,6 @@ TEST(GlobalRoute, WindowedRetryEscapesOnTheFullCanvas) {
   rects[5] = {5.0, 1.46, 1.0, 4.54};   // right wall, from y = 1.46
   rects[6] = {100.0, 1.5, 2.0, 2.0};
   rects[7] = {10.0, 0.0, 2.0, 2.0};
-  for (int b = 8; b < kBlocks; ++b) {
-    rects[static_cast<std::size_t>(b)] = {200.0 + 3.0 * (b % 10),
-                                          200.0 + 3.0 * (b / 10), 2.0, 2.0};
-  }
   const std::vector<geom::Point> pins{block_pin_for_net(rects[0], 0, 0),
                                       block_pin_for_net(rects[7], 0, 0)};
   geom::Rect window = geom::bounding_box_points(pins);
@@ -698,11 +693,11 @@ TEST(GlobalRoute, WirelengthGrowsWithSpread) {
 // routed and the resulting GlobalRoute (every tree's nodes and edges, the
 // conduits, the total_wirelength bits, the net names and failed_nets) is
 // reduced to a 64-bit FNV-1a fingerprint, compared with the recorded table
-// below.  The Table I circuits (under 64 blocks) route on the full canvas;
-// the 100-, 250- and 1000-block scenarios route each net on a window
-// around its pins, and their seeded overlaps wall some pins in, so the
-// full-canvas retry and the failure path are pinned as well.  One Table I circuit and one
-// 100-block scenario are also placed with every block abutting its
+// below.  Every net of the Table I circuits and of the 100-, 250- and
+// 1000-block scenarios routes on a window around its pins first, and the
+// seeded overlaps wall some pins in at both sizes, so the full-canvas
+// retry and the failure path are pinned as well.  One Table I circuit and
+// one 100-block scenario are also placed with every block abutting its
 // neighbours, as the packers place them: their shared edges reach the
 // escape graph through different float sums, so they pin the line snap.
 // Two more tables pin GlobalRoute::expanded, the router's heap-pop count,
@@ -849,17 +844,11 @@ std::map<std::string, RouteCase> route_cases() {
 }
 
 /// Every case routed once, shared by the tests below.
-struct Routed {
-  route::GlobalRoute route;
-  bool windowed = false;  ///< above the router's 64-block window threshold
-};
-
-const std::map<std::string, Routed>& routed_cases() {
+const std::map<std::string, route::GlobalRoute>& routed_cases() {
   static const auto routed = [] {
-    std::map<std::string, Routed> out;
+    std::map<std::string, route::GlobalRoute> out;
     for (const auto& [name, rc] : route_cases()) {
-      out[name] = {route::global_route(rc.inst, rc.rects, rc.dirs),
-                   rc.inst.num_blocks() > 64};
+      out[name] = route::global_route(rc.inst, rc.rects, rc.dirs);
     }
     return out;
   }();
@@ -871,25 +860,26 @@ struct Golden {
   std::uint64_t value;
 };
 
-// Route fingerprints, recorded on the sparse escape graph.
+// Route fingerprints, recorded on the sparse escape graph with every net
+// windowed first.
 constexpr Golden kRouteGolden[] = {
-    {"bias1#1", 0x7eba6d4926c10668ull},
-    {"bias1#2", 0x980261fbead63308ull},
-    {"bias2#1", 0xf3096b8bdfa8fd12ull},
-    {"bias2#1/abut", 0x9e9cecd16c676709ull},
-    {"bias2#2", 0x060bd4213e59728dull},
+    {"bias1#1", 0x79f2d41203f540adull},
+    {"bias1#2", 0xde67a7ae9ca4d531ull},
+    {"bias2#1", 0x5d45ad0b5011578full},
+    {"bias2#1/abut", 0x466973e72a3daeb0ull},
+    {"bias2#2", 0x0d0c5b274dda3b89ull},
     {"bias:100:2#1", 0xcb9b0dec386423daull},
     {"bias:250:6#1", 0x1bbc34dddb2fb472ull},
-    {"driver#1", 0xba9c16dd609814f4ull},
-    {"driver#2", 0x00f64faa8a8d5771ull},
+    {"driver#1", 0x329b4039f134993cull},
+    {"driver#2", 0xcbfb6719abf42930ull},
     {"driver:100:4#1", 0xa8046684bd382aa8ull},
     {"driver:250:8#1", 0x0da1a9146b1c25c7ull},
     {"latch:100:3#1", 0xbc8954448bfafdafull},
     {"latch:250:7#1", 0xa3b766926371ec76ull},
-    {"ota1#1", 0x454d26efc9f6baa1ull},
-    {"ota1#2", 0x2b2f00d672844618ull},
-    {"ota2#1", 0xc57d1150ea1f4496ull},
-    {"ota2#2", 0x635442e87c75bd68ull},
+    {"ota1#1", 0x29274c42fd1d5a80ull},
+    {"ota1#2", 0x506305a6bfa74daeull},
+    {"ota2#1", 0xf3d78be3c062c1ecull},
+    {"ota2#2", 0x0e31f892ebdeaa62ull},
     {"ota:1000:1#1", 0xc72ff23ccaa2f927ull},
     {"ota:100:1#1", 0x41fffc29d3602d76ull},
     {"ota:100:1#1/abut", 0xcbae126ea534730eull},
@@ -899,25 +889,25 @@ constexpr Golden kRouteGolden[] = {
 };
 
 // Heap pops (GlobalRoute::expanded), recorded with the bounded two-pass
-// search over the sparse escape graph.
+// search over the sparse escape graph, every net windowed first.
 constexpr Golden kExpandedGolden[] = {
-    {"bias1#1", 283},
-    {"bias1#2", 254},
-    {"bias2#1", 900},
-    {"bias2#1/abut", 537},
-    {"bias2#2", 918},
+    {"bias1#1", 265},
+    {"bias1#2", 251},
+    {"bias2#1", 849},
+    {"bias2#1/abut", 509},
+    {"bias2#2", 798},
     {"bias:100:2#1", 13840},
     {"bias:250:6#1", 113980},
-    {"driver#1", 1033},
-    {"driver#2", 755},
+    {"driver#1", 958},
+    {"driver#2", 737},
     {"driver:100:4#1", 37191},
     {"driver:250:8#1", 223906},
     {"latch:100:3#1", 25620},
     {"latch:250:7#1", 162103},
-    {"ota1#1", 92},
-    {"ota1#2", 60},
-    {"ota2#1", 304},
-    {"ota2#2", 229},
+    {"ota1#1", 86},
+    {"ota1#2", 51},
+    {"ota2#1", 413},
+    {"ota2#2", 225},
     {"ota:1000:1#1", 3263409},
     {"ota:100:1#1", 23256},
     {"ota:100:1#1/abut", 8536},
@@ -927,31 +917,31 @@ constexpr Golden kExpandedGolden[] = {
 };
 
 // Escape-graph vertices (GlobalRoute::vertices), recorded on the sparse
-// escape graph.
+// escape graph, every net windowed first.
 constexpr Golden kVerticesGolden[] = {
-    {"bias1#1", 687},
-    {"bias1#2", 621},
-    {"bias2#1", 3654},
-    {"bias2#1/abut", 1977},
-    {"bias2#2", 3812},
+    {"bias1#1", 501},
+    {"bias1#2", 396},
+    {"bias2#1", 1941},
+    {"bias2#1/abut", 1088},
+    {"bias2#2", 2247},
     {"bias:100:2#1", 41580},
     {"bias:250:6#1", 349018},
-    {"driver#1", 2277},
-    {"driver#2", 2316},
+    {"driver#1", 1227},
+    {"driver#2", 1441},
     {"driver:100:4#1", 64998},
     {"driver:250:8#1", 442328},
     {"latch:100:3#1", 68641},
     {"latch:250:7#1", 481060},
-    {"ota1#1", 160},
-    {"ota1#2", 149},
-    {"ota2#1", 652},
-    {"ota2#2", 641},
+    {"ota1#1", 130},
+    {"ota1#2", 63},
+    {"ota2#1", 599},
+    {"ota2#2", 500},
     {"ota:1000:1#1", 8737667},
     {"ota:100:1#1", 53240},
     {"ota:100:1#1/abut", 25556},
     {"ota:250:5#1", 447844},
-    {"rs_latch#1", 232},
-    {"rs_latch#2", 231},
+    {"rs_latch#1", 179},
+    {"rs_latch#2", 216},
 };
 
 /// Compares `actual` against `table`; returns the rows to paste when any
@@ -981,15 +971,15 @@ std::string mismatches(const std::map<std::string, std::uint64_t>& actual,
 
 TEST(RouteGolden, MatchesRecordedFingerprints) {
   std::map<std::string, std::uint64_t> actual;
-  int windowed = 0, failed_full = 0, failed_windowed = 0;
+  int failed_table1 = 0, failed_scenario = 0;
   for (const auto& [name, r] : routed_cases()) {
-    actual[name] = fingerprint(r.route);
-    windowed += r.windowed ? 1 : 0;
-    (r.windowed ? failed_windowed : failed_full) += r.route.failed_nets;
+    actual[name] = fingerprint(r);
+    // Scenario specs carry colons ("ota:100:1"), Table I names do not.
+    (name.find(':') == std::string::npos ? failed_table1 : failed_scenario) +=
+        r.failed_nets;
   }
-  EXPECT_EQ(windowed, 10);
-  EXPECT_GT(failed_full, 0) << "no full-canvas case walls a pin in";
-  EXPECT_GT(failed_windowed, 0) << "no windowed case walls a pin in";
+  EXPECT_GT(failed_table1, 0) << "no Table I case walls a pin in";
+  EXPECT_GT(failed_scenario, 0) << "no scenario case walls a pin in";
   const std::string bad = mismatches(actual, kRouteGolden,
                                      std::size(kRouteGolden),
                                      "    {\"%s\", 0x%016llxull},\n");
@@ -1001,8 +991,8 @@ TEST(RouteGolden, MatchesRecordedFingerprints) {
 TEST(RouteGolden, MatchesRecordedWork) {
   std::map<std::string, std::uint64_t> pops, vertices;
   for (const auto& [name, r] : routed_cases()) {
-    pops[name] = r.route.expanded;
-    vertices[name] = r.route.vertices;
+    pops[name] = r.expanded;
+    vertices[name] = r.vertices;
   }
   const std::string bad_pops = mismatches(pops, kExpandedGolden,
                                           std::size(kExpandedGolden),
@@ -1040,11 +1030,11 @@ TEST(GlobalRoute, AbuttingBlocksLeaveNoNearDuplicateLines) {
   for (const auto& [name, r] : routed_cases()) {
     if (!name.ends_with(kAbut)) continue;
     ++abutting;
-    ASSERT_FALSE(r.route.trees.empty()) << name;
+    ASSERT_FALSE(r.trees.empty()) << name;
     std::vector<double> all_xs, all_ys;
-    for (std::size_t t = 0; t < r.route.trees.size(); ++t) {
+    for (std::size_t t = 0; t < r.trees.size(); ++t) {
       std::vector<double> xs, ys;
-      for (const auto& p : r.route.trees[t].nodes) {
+      for (const auto& p : r.trees[t].nodes) {
         xs.push_back(p.x);
         ys.push_back(p.y);
       }

@@ -88,20 +88,15 @@ TEST(KernelTier, ParseAndNames) {
 }
 
 TEST(KernelTier, NaiveToggleInterop) {
-  // The set_naive_kernels toggle and the naive tier are one state.
   const KernelTier entry = kernel_tier();
   set_kernel_tier(KernelTier::kNaive);
-  EXPECT_TRUE(naive_kernels());
-  EXPECT_EQ(kernel_tier(), KernelTier::kNaive);
-  set_naive_kernels(false);
-  EXPECT_NE(kernel_tier(), KernelTier::kNaive);
-  set_naive_kernels(true);
   EXPECT_EQ(kernel_tier(), KernelTier::kNaive);
   set_kernel_tier(KernelTier::kAuto);
-  EXPECT_FALSE(naive_kernels());
   // Resolved tier is never kAuto, and avx2 only when the CPU has it.
   EXPECT_NE(kernel_tier(), KernelTier::kAuto);
-  if (kernel_tier() == KernelTier::kAvx2) EXPECT_TRUE(cpu_supports_avx2());
+  if (kernel_tier() == KernelTier::kAvx2) {
+    EXPECT_TRUE(cpu_supports_avx2());
+  }
   set_kernel_tier(entry);
 }
 
