@@ -1,8 +1,12 @@
-// Search-quality bench: single-chain SA vs best-of-restarts SA vs parallel
-// tempering (both representations) at an EQUAL packed-and-scored move budget
-// over the Table I circuits and seeds.  The point of the comparison is the
-// acceptance bar for the tempering baseline: at the same number of cost
-// evaluations, replica exchange must beat the single chain's mean best cost.
+// Search-quality bench: single-chain SA and SA-B*, their best-of-4
+// restarts, and parallel tempering over both encodings, at an EQUAL packed-
+// and-scored move budget over the Table I circuits plus two 50-block
+// constraint scenarios and 10 seeds.  It is the trial that keeps parallel
+// tempering: at the same number of cost evaluations and the same four-way
+// parallelism, PT must beat best-of-4 SA (SAx4) and PT-B* best-of-4 SA-B*
+// (SABx4).  It prints each method's mean best cost and the paired wins
+// (same instance, same seed) of both comparisons, next to PT against
+// single-chain SA.
 //
 // Self-timed (no Google Benchmark), always builds; results are printed and
 // written to BENCH_search.json.  AFP_BENCH_SCALE scales the move budget.
@@ -15,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "core/job_service.hpp"
+#include "ingest/scenario.hpp"
 #include "metaheur/eval_cache.hpp"
 #include "metaheur/optimizer.hpp"
 #include "metaheur/parallel_search.hpp"
@@ -25,10 +30,18 @@ namespace afp::bench {
 
 namespace {
 
-constexpr int kSeeds = 5;  // matches bench_table1's per-cell seed count
+constexpr int kSeeds = 10;
+constexpr std::uint64_t kFirstSeed = 600;
 
+/// The Table I circuits: the JobService batch runs one job per circuit.
 const std::vector<std::string> kCircuits = {"ota1",     "ota2",   "bias1",
                                             "rs_latch", "driver", "bias2"};
+
+/// The comparison's instances: the Table I circuits, then two scenario
+/// specs whose constraint overlays are resolved onto their graphs.
+const std::vector<std::string> kInstances = {
+    "ota1",   "ota2",  "bias1",    "rs_latch",
+    "driver", "bias2", "ota:50:1", "latch:50:2"};
 
 struct MethodStats {
   std::vector<double> best_cost;
@@ -45,9 +58,35 @@ struct MethodStats {
 };
 
 floorplan::Instance instance_of(const std::string& name) {
-  auto nl = make_circuit(name);
-  auto g = graphir::build_graph(nl, structrec::recognize(nl));
+  if (name.find(':') == std::string::npos) {
+    const auto nl = make_circuit(name);
+    return floorplan::make_instance(
+        graphir::build_graph(nl, structrec::recognize(nl)));
+  }
+  const auto sc = ingest::make_scenario(ingest::ScenarioSpec::parse(name));
+  auto g = graphir::build_graph(sc.netlist, structrec::recognize(sc.netlist));
+  graphir::apply_constraints(g, graphir::resolve(sc.constraints, g));
   return floorplan::make_instance(g);
+}
+
+/// Paired outcomes of `a` against `b` over the same (instance, seed) runs;
+/// lower cost wins.
+struct Paired {
+  int wins = 0, losses = 0, ties = 0;
+};
+
+Paired paired(const std::vector<double>& a, const std::vector<double>& b) {
+  Paired p;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] < b[i]) {
+      ++p.wins;
+    } else if (a[i] > b[i]) {
+      ++p.losses;
+    } else {
+      ++p.ties;
+    }
+  }
+  return p;
 }
 
 /// Synthetic large instance for the delta-vs-full packing comparison: the
@@ -99,65 +138,76 @@ int main() {
   using namespace afp::bench;
 
   // Equal total budget for every method: evaluations = kBudget exactly.
-  //   SA:    1 initial + (kBudget - 1) moves
-  //   SAxR:  R restarts of 1 + kBudget/R - 1 moves
-  //   PT:    K replicas, K + K * iterations evaluations in total
+  //   SA, SAB:      1 initial + (kBudget - 1) moves
+  //   SAxR, SABxR:  R restarts of 1 + kBudget/R - 1 moves
+  //   PT, PT-B*:    K replicas, K + K * iterations evaluations in total
   const int kBudget = scaled(2496);
   const int kRestarts = 4;
 
   // Everything below goes through the registry: the solver is a name plus
   // an option map, exactly as the pipeline/CLI/JobService consume it.
-  const metaheur::Options pt_budget = {
-      {"iterations", std::to_string(kBudget / metaheur::PTParams{}.replicas -
-                                    1)}};  // tuned defaults otherwise
-  const auto sa = metaheur::make_optimizer(
-      "sa", {{"iterations", std::to_string(kBudget - 1)}});
+  const auto iterations = [](int n) {
+    return metaheur::Options{{"iterations", std::to_string(n)}};
+  };
+  const int pt_iterations = kBudget / metaheur::PTParams{}.replicas - 1;
+  const auto sa = metaheur::make_optimizer("sa", iterations(kBudget - 1));
   const auto sa_r = metaheur::make_optimizer(
-      "sa", {{"iterations", std::to_string(kBudget / kRestarts - 1)}});
-  const auto pt = metaheur::make_optimizer("pt", pt_budget);
-  const auto ptb = metaheur::make_optimizer("pt-bstar", pt_budget);
+      "sa", iterations(kBudget / kRestarts - 1));
+  const auto sab = metaheur::make_optimizer("sab", iterations(kBudget - 1));
+  const auto sab_r = metaheur::make_optimizer(
+      "sab", iterations(kBudget / kRestarts - 1));
+  // Tuned defaults otherwise.
+  const auto pt = metaheur::make_optimizer("pt", iterations(pt_iterations));
+  const auto ptb =
+      metaheur::make_optimizer("pt-bstar", iterations(pt_iterations));
+  struct Method {
+    std::string name;
+    const metaheur::Optimizer* opt;
+    int restarts;
+  };
+  const std::vector<Method> methods = {
+      {"SA", sa.get(), 1},   {"SAx4", sa_r.get(), kRestarts},
+      {"PT", pt.get(), 1},   {"PT-B*", ptb.get(), 1},
+      {"SAB", sab.get(), 1}, {"SABx4", sab_r.get(), kRestarts}};
 
-  std::printf("search bench: %d threads, budget %d evaluations/method\n\n",
-              num::num_threads(), kBudget);
-  std::printf("%-10s %12s %12s %12s %12s   (mean best cost, %d seeds)\n",
-              "circuit", "SA", "SAx4", "PT", "PT-B*", kSeeds);
+  std::printf("search bench: %d threads, budget %d evaluations/method, "
+              "seeds %llu-%llu\n\n",
+              num::num_threads(), kBudget,
+              static_cast<unsigned long long>(kFirstSeed),
+              static_cast<unsigned long long>(kFirstSeed + kSeeds - 1));
+  std::printf("%-12s", "instance");
+  for (const auto& m : methods) std::printf(" %10s", m.name.c_str());
+  std::printf("   (mean best cost, %d seeds)\n", kSeeds);
 
-  // methods x circuits -> stats; summary aggregates over all circuits.
-  const std::vector<std::string> kMethodNames = {"SA", "SAx4", "PT", "PT-B*"};
+  // instances x methods -> stats; `overall` keeps every method's costs in
+  // the same (instance, seed) order, so runs pair up by index.
   std::map<std::string, std::map<std::string, MethodStats>> table;
   std::map<std::string, MethodStats> overall;
 
-  for (const auto& name : kCircuits) {
+  for (const auto& name : kInstances) {
     const auto inst = instance_of(name);
     for (int s = 0; s < kSeeds; ++s) {
-      const std::uint64_t seed = 400 + static_cast<std::uint64_t>(s);
-      auto record = [&](const std::string& method,
-                        const metaheur::BaselineResult& r) {
-        auto& cell = table[name][method];
+      const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(s);
+      for (const auto& m : methods) {
+        metaheur::BaselineResult r;
+        if (m.restarts > 1) {
+          r = metaheur::run_multistart(inst, *m.opt, {}, {m.restarts, seed});
+        } else {
+          std::mt19937_64 rng(seed);
+          r = m.opt->run(inst, {}, rng);
+        }
+        auto& cell = table[name][m.name];
         cell.best_cost.push_back(metaheur::sp_cost(inst, r.rects));
         cell.runtime_s.push_back(r.runtime_s);
         cell.evaluations = r.evaluations;
-        overall[method].best_cost.push_back(cell.best_cost.back());
-      };
-      {
-        std::mt19937_64 rng(seed);
-        record("SA", sa->run(inst, {}, rng));
-      }
-      record("SAx4",
-             metaheur::run_multistart(inst, *sa_r, {}, {kRestarts, seed}));
-      {
-        std::mt19937_64 rng(seed);
-        record("PT", pt->run(inst, {}, rng));
-      }
-      {
-        std::mt19937_64 rng(seed);
-        record("PT-B*", ptb->run(inst, {}, rng));
+        overall[m.name].best_cost.push_back(cell.best_cost.back());
       }
     }
-    std::printf("%-10s %12.4f %12.4f %12.4f %12.4f\n", name.c_str(),
-                table[name]["SA"].mean_cost(), table[name]["SAx4"].mean_cost(),
-                table[name]["PT"].mean_cost(),
-                table[name]["PT-B*"].mean_cost());
+    std::printf("%-12s", name.c_str());
+    for (const auto& m : methods) {
+      std::printf(" %10.4f", table[name][m.name].mean_cost());
+    }
+    std::printf("\n");
   }
 
   // ---- JobService batch: determinism + parallel throughput ---------------
@@ -272,35 +322,58 @@ int main() {
 
   const double sa_mean = overall["SA"].mean_cost();
   const double pt_mean = overall["PT"].mean_cost();
-  std::printf("\noverall mean best cost: SA %.4f | SAx4 %.4f | PT %.4f | "
-              "PT-B* %.4f\n",
-              sa_mean, overall["SAx4"].mean_cost(), pt_mean,
-              overall["PT-B*"].mean_cost());
+  std::printf("\noverall mean best cost:");
+  for (const auto& m : methods) {
+    std::printf(" %s %.4f", m.name.c_str(), overall[m.name].mean_cost());
+  }
+  std::printf("\n");
   std::printf("PT %s single-chain SA at equal move budget (%.4f vs %.4f)\n",
               pt_mean < sa_mean ? "beats" : "DOES NOT beat", pt_mean, sa_mean);
+  // The two comparisons at equal budget and equal four-way parallelism.
+  struct Trial {
+    const char* a;
+    const char* b;
+    const char* key;
+    Paired p;
+  };
+  std::vector<Trial> trials = {{"PT", "SAx4", "pt_vs_sax4", {}},
+                               {"PT-B*", "SABx4", "ptb_vs_sabx4", {}}};
+  for (auto& t : trials) {
+    t.p = paired(overall[t.a].best_cost, overall[t.b].best_cost);
+    std::printf("%s vs %s: mean %.4f vs %.4f, wins %d of %zu paired runs "
+                "(%d losses, %d ties)\n",
+                t.a, t.b, overall[t.a].mean_cost(), overall[t.b].mean_cost(),
+                t.p.wins, overall[t.a].best_cost.size(), t.p.losses,
+                t.p.ties);
+  }
 
   std::ofstream os("BENCH_search.json");
   os << "{\n  \"bench\": \"search\",\n  \"threads\": " << num::num_threads()
      << ",\n  \"budget_evaluations\": " << kBudget
-     << ",\n  \"seeds\": " << kSeeds << ",\n  \"circuits\": [\n";
-  for (std::size_t c = 0; c < kCircuits.size(); ++c) {
-    os << "    {\"circuit\": \"" << kCircuits[c] << "\"";
-    for (const auto& m : kMethodNames) {
-      const auto& cell = table[kCircuits[c]][m];
-      os << ", \"" << m << "\": {\"mean_cost\": " << cell.mean_cost()
+     << ",\n  \"seeds\": " << kSeeds << ",\n  \"first_seed\": " << kFirstSeed
+     << ",\n  \"circuits\": [\n";
+  for (std::size_t c = 0; c < kInstances.size(); ++c) {
+    os << "    {\"circuit\": \"" << kInstances[c] << "\"";
+    for (const auto& m : methods) {
+      const auto& cell = table[kInstances[c]][m.name];
+      os << ", \"" << m.name << "\": {\"mean_cost\": " << cell.mean_cost()
          << ", \"mean_runtime_s\": " << cell.mean_runtime()
          << ", \"evaluations\": " << cell.evaluations << "}";
     }
-    os << "}" << (c + 1 < kCircuits.size() ? "," : "") << "\n";
+    os << "}" << (c + 1 < kInstances.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"summary\": {";
-  for (std::size_t i = 0; i < kMethodNames.size(); ++i) {
-    os << "\"" << kMethodNames[i]
-       << "_mean_cost\": " << overall[kMethodNames[i]].mean_cost()
-       << (i + 1 < kMethodNames.size() ? ", " : "");
+  for (const auto& m : methods) {
+    os << "\"" << m.name << "_mean_cost\": " << overall[m.name].mean_cost()
+       << ", ";
   }
-  os << ", \"pt_beats_sa\": " << (pt_mean < sa_mean ? "true" : "false")
-     << "},\n  \"job_service\": {\"jobs\": " << jobs.size()
+  os << "\"pt_beats_sa\": " << (pt_mean < sa_mean ? "true" : "false");
+  for (const auto& t : trials) {
+    os << ", \"" << t.key << "\": {\"wins\": " << t.p.wins
+       << ", \"losses\": " << t.p.losses << ", \"ties\": " << t.p.ties
+       << ", \"pairs\": " << overall[t.a].best_cost.size() << "}";
+  }
+  os << "},\n  \"job_service\": {\"jobs\": " << jobs.size()
      << ", \"hw_threads\": " << ambient_threads
      << ", \"serial_s\": " << serial_s << ", \"batch_threads\": 4"
      << ", \"batch_s\": " << batch_s << ", \"repeat_s\": " << repeat_s

@@ -25,7 +25,7 @@ set(tiers naive scalar avx2 auto)
 # one SA on a 100-block scenario.
 set(runs
     "sa\;ota_small\;--baseline\;sa\;--iters\;120"
-    "pt\;ota_small\;--baseline\;pt\;--restarts\;2\;--pt-replicas\;4\;--pt-swap-interval\;8\;--iters\;60"
+    "pt\;ota_small\;--baseline\;pt\;--restarts\;2\;--opt\;replicas=4,swap_interval=8\;--iters\;60"
     "sa_windowed\;--scenario\;ota:100:1\;--baseline\;sa\;--iters\;120")
 
 foreach(run IN LISTS runs)

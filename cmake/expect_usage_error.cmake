@@ -24,14 +24,14 @@ if(NOT err MATCHES "usage: afp")
 endif()
 # A flag that only exists on a different command must be rejected too.
 execute_process(
-  COMMAND ${AFP_CLI} train --pt-replicas 8
+  COMMAND ${AFP_CLI} train --restarts 8
   RESULT_VARIABLE rc2
   OUTPUT_QUIET
   ERROR_VARIABLE err2)
 if(NOT rc2 EQUAL 2)
   message(FATAL_ERROR "expected exit code 2 for a wrong-command flag, got ${rc2}")
 endif()
-if(NOT err2 MATCHES "unknown option '--pt-replicas' for 'train'")
+if(NOT err2 MATCHES "unknown option '--restarts' for 'train'")
   message(FATAL_ERROR "stderr does not name the wrong-command flag: ${err2}")
 endif()
 
@@ -39,6 +39,9 @@ endif()
 # (historically `--seed abc` crashed with an uncaught std::invalid_argument
 # from std::stoul), an unknown --baseline must name the registry, and a bad
 # --opt key must name the optimizer's known options.  All exit 2 + usage.
+# So do the removed spellings: pt's fixed-rung and adaptive-swap options,
+# the --pt-* and --method flags and the sa-bstar name (one name per
+# optimizer, one flag per setting: --baseline and --opt).
 set(bad_invocations
     "floorplan\;ota_small\;--seed\;abc"
     "floorplan\;ota_small\;--iters\;12x"
@@ -54,6 +57,13 @@ set(bad_invocations
     "floorplan\;ota_small\;--restarts\;4\;--time-budget\;0.1"
     "floorplan\;ota_small\;--batch\;nowhere\;--svg\;x.svg"
     "floorplan\;ota_small\;--baseline\;sa\;--pt-replicas\;4"
+    "floorplan\;ota_small\;--baseline\;pt\;--opt\;anneal=false"
+    "floorplan\;ota_small\;--baseline\;pt\;--opt\;t_hot=1"
+    "floorplan\;ota_small\;--baseline\;pt\;--opt\;adaptive_swap=true"
+    "floorplan\;ota_small\;--baseline\;pt\;--pt-replicas\;4"
+    "floorplan\;ota_small\;--baseline\;pt\;--pt-adaptive"
+    "floorplan\;ota_small\;--method\;sa"
+    "floorplan\;ota_small\;--baseline\;sa-bstar"
     "floorplan\;ota_small\;--quanta\;0"
     "floorplan\;ota_small\;--quanta\;lots"
     "floorplan\;ota_small\;--restarts\;2\;--quanta\;4"

@@ -126,7 +126,7 @@ BaselineResult run_sa(const floorplan::Instance& inst, const SAParams& p,
 }
 
 BaselineResult run_sa_bstar(const floorplan::Instance& inst,
-                            const BStarSAParams& p, std::mt19937_64& rng) {
+                            const SAParams& p, std::mt19937_64& rng) {
   return run_anneal<BStarChain>(inst, p, rng, "SA-B*[15]");
 }
 

@@ -125,8 +125,7 @@ constexpr int kNumBStarMoves = 3;
 void apply_bstar_move(BStarTree& tree, BStarMove move, std::mt19937_64& rng);
 
 /// Simulated annealing over B*-trees; same cost and schedule as run_sa.
-using BStarSAParams = SAParams;
 BaselineResult run_sa_bstar(const floorplan::Instance& inst,
-                            const BStarSAParams& p, std::mt19937_64& rng);
+                            const SAParams& p, std::mt19937_64& rng);
 
 }  // namespace afp::metaheur

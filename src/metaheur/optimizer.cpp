@@ -26,18 +26,6 @@ bool parse_int(const std::string& s, int* out) {
   return true;
 }
 
-bool parse_bool(const std::string& s, bool* out) {
-  if (s == "1" || s == "true" || s == "on" || s == "yes") {
-    *out = true;
-    return true;
-  }
-  if (s == "0" || s == "false" || s == "off" || s == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool parse_strict_int(const std::string& s, long long* out) {
@@ -75,18 +63,14 @@ bool parse_strict_double(const std::string& s, double* out) {
 // ------------------------------------------------------------ OptionBinder
 
 void OptionBinder::bind(const std::string& key, int* v,
-                        const std::string& help, int min_value) {
-  entries_.push_back({key, Kind::kInt, v, help, min_value});
+                        const std::string& help, int min_value,
+                        int max_value) {
+  entries_.push_back({key, Kind::kInt, v, help, min_value, max_value});
 }
 
 void OptionBinder::bind(const std::string& key, double* v,
                         const std::string& help) {
-  entries_.push_back({key, Kind::kDouble, v, help, INT_MIN});
-}
-
-void OptionBinder::bind(const std::string& key, bool* v,
-                        const std::string& help) {
-  entries_.push_back({key, Kind::kBool, v, help, INT_MIN});
+  entries_.push_back({key, Kind::kDouble, v, help, INT_MIN, INT_MAX});
 }
 
 void OptionBinder::apply(const Options& opts, const std::string& owner) const {
@@ -113,14 +97,16 @@ void OptionBinder::apply(const Options& opts, const std::string& owner) const {
               "optimizer '" + owner + "': option '" + key + "' must be >= " +
               std::to_string(it->min_value) + ", got '" + value + "'");
         }
+        if (ok && parsed > it->max_value) {
+          throw std::invalid_argument(
+              "optimizer '" + owner + "': option '" + key + "' must be <= " +
+              std::to_string(it->max_value) + ", got '" + value + "'");
+        }
         if (ok) *static_cast<int*>(it->ptr) = parsed;
         break;
       }
       case Kind::kDouble:
         ok = parse_strict_double(value, static_cast<double*>(it->ptr));
-        break;
-      case Kind::kBool:
-        ok = parse_bool(value, static_cast<bool*>(it->ptr));
         break;
     }
     if (!ok) {
@@ -142,9 +128,6 @@ std::vector<OptionSpec> OptionBinder::specs() const {
         break;
       case Kind::kDouble:
         value = format_double(*static_cast<double*>(e.ptr));
-        break;
-      case Kind::kBool:
-        value = *static_cast<bool*>(e.ptr) ? "true" : "false";
         break;
     }
     out.push_back({e.key, value, e.help});
@@ -187,7 +170,8 @@ void bind_options(OptionBinder& b, SAParams& p) {
 }
 
 void bind_options(OptionBinder& b, GAParams& p) {
-  b.bind("population", &p.population, "individuals per generation", 1);
+  b.bind("population", &p.population, "individuals per generation", 1,
+         kMaxPopulation);
   b.bind("generations", &p.generations, "generation budget", 0);
   b.bind("crossover_rate", &p.crossover_rate, "crossover probability");
   b.bind("mutation_rate", &p.mutation_rate, "mutation probability");
@@ -195,7 +179,7 @@ void bind_options(OptionBinder& b, GAParams& p) {
 }
 
 void bind_options(OptionBinder& b, PSOParams& p) {
-  b.bind("particles", &p.particles, "swarm size", 1);
+  b.bind("particles", &p.particles, "swarm size", 1, kMaxPopulation);
   b.bind("iterations", &p.iterations, "synchronous sweep budget", 0);
   b.bind("inertia", &p.inertia, "velocity inertia weight");
   b.bind("c1", &p.c1, "cognitive coefficient");
@@ -217,22 +201,17 @@ void bind_options(OptionBinder& b, RLSPParams& p) {
 }
 
 void bind_options(OptionBinder& b, PTParams& p) {
-  b.bind("replicas", &p.replicas, "temperature-ladder size K (>= 2)", 2);
+  b.bind("replicas", &p.replicas, "temperature-ladder size K (>= 2)", 2,
+         kMaxPopulation);
   b.bind("iterations", &p.iterations,
          "mean moves per replica (total = K * this)", 0);
-  b.bind("anneal", &p.anneal, "annealed ladder (true) vs fixed rungs (false)");
-  b.bind("t_start", &p.t_start, "annealed mode: coldest start temp");
-  b.bind("t_end", &p.t_end, "annealed mode: coldest final temp");
-  b.bind("hot_factor", &p.hot_factor,
-         "annealed mode: hottest/coldest multiplier");
-  b.bind("t_cold", &p.t_cold, "fixed mode: coldest rung");
-  b.bind("t_hot", &p.t_hot, "fixed mode: hottest rung; < 0 = auto");
+  b.bind("t_start", &p.t_start, "coldest chain's start temperature");
+  b.bind("t_end", &p.t_end, "coldest chain's final temperature");
+  b.bind("hot_factor", &p.hot_factor, "hottest/coldest multiplier");
   b.bind("budget_skew", &p.budget_skew,
          "cold-chain move-budget skew (1 = equal chains)");
   b.bind("swap_interval", &p.swap_interval,
          "cold-chain moves between exchange rounds", 1);
-  b.bind("adaptive_swap", &p.adaptive_swap,
-         "adapt the swap interval to the exchange acceptance");
 }
 
 /// The one registry adapter: a run_* entry point over its parameter struct
@@ -256,8 +235,9 @@ class ParamsOptimizer final : public Optimizer {
 
   const char* name() const override { return name_; }
   const char* encoding() const override { return encoding_; }
-  SearchResult run(const floorplan::Instance& inst, const SearchBudget& budget,
-                   std::mt19937_64& rng) const override {
+  BaselineResult run(const floorplan::Instance& inst,
+                     const SearchBudget& budget,
+                     std::mt19937_64& rng) const override {
     P p = p_;
     if (budget.iterations > 0) p.*budget_knob_ = budget.iterations;
     p.stop = budget.stop;

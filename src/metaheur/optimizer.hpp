@@ -4,7 +4,7 @@
 // tempering over both encodings) is exposed behind one virtual surface:
 //
 //   auto opt = metaheur::make_optimizer("pt", {{"replicas", "4"}});
-//   SearchResult r = opt->run(instance, /*budget=*/{}, rng);
+//   BaselineResult r = opt->run(instance, /*budget=*/{}, rng);
 //
 // so the solver choice is *data* (a registry key plus a key=value option
 // map), not a cross-cutting enum edit.  Adding a search means registering a
@@ -38,11 +38,15 @@ namespace afp::metaheur {
 
 class TranspositionCache;  // metaheur/eval_cache.hpp
 
-/// Key=value option map; values are parsed per option (int/double/bool).
+/// Key=value option map; values are parsed per option (int/double).
 using Options = std::map<std::string, std::string>;
 
-/// Result of one optimizer run (the historical baseline record).
-using SearchResult = BaselineResult;
+/// Upper bound of the population-sized options (ga population, pso
+/// particles, pt replicas): each unit holds its own search state from the
+/// first move, so an unbounded value from --opt or an afpd submit could ask
+/// for gigabytes before the search starts.  A pt replica holds ~1.06 MB at
+/// 5000 blocks, so a 5000-block pt job at this cap peaks at ~0.55 GB RSS.
+constexpr int kMaxPopulation = 512;
 
 /// Budget overrides shared by every optimizer.  Zero fields mean "use the
 /// configured options".  `iterations` overrides the optimizer's *primary*
@@ -97,24 +101,25 @@ struct OptionSpec {
 /// key or an unparsable value.
 class OptionBinder {
  public:
-  /// `min_value` lets an optimizer reject out-of-range ints at configure
-  /// time (exit-2 usage territory) instead of deep inside run().
+  /// `min_value` and `max_value` let an optimizer reject out-of-range ints
+  /// at configure time (exit-2 usage territory) instead of deep inside
+  /// run().
   void bind(const std::string& key, int* v, const std::string& help,
-            int min_value = INT_MIN);
+            int min_value = INT_MIN, int max_value = INT_MAX);
   void bind(const std::string& key, double* v, const std::string& help);
-  void bind(const std::string& key, bool* v, const std::string& help);
 
   void apply(const Options& opts, const std::string& owner) const;
   std::vector<OptionSpec> specs() const;
 
  private:
-  enum class Kind { kInt, kDouble, kBool };
+  enum class Kind { kInt, kDouble };
   struct Entry {
     std::string key;
     Kind kind;
     void* ptr;
     std::string help;
     int min_value;
+    int max_value;
   };
   std::vector<Entry> entries_;
 };
@@ -144,9 +149,9 @@ class Optimizer {
 
   /// Runs the search on `inst`.  Budget overrides apply on top of the
   /// configured options; the passed rng is the single entropy source.
-  virtual SearchResult run(const floorplan::Instance& inst,
-                           const SearchBudget& budget,
-                           std::mt19937_64& rng) const = 0;
+  virtual BaselineResult run(const floorplan::Instance& inst,
+                             const SearchBudget& budget,
+                             std::mt19937_64& rng) const = 0;
 
  protected:
   /// Enumerates the tunable options over the implementation's param struct.

@@ -64,54 +64,35 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
     }
   }
 
-  // Rung values: fixed temperatures, or per-replica multipliers on an
-  // annealing schedule each chain traverses over its own budget.  The auto
-  // t_hot is floored at t_cold so a flat initial cost spread degenerates to
-  // a constant ladder instead of an invalid one.
-  std::vector<double> initial_cost(kz(K));
-  for (int k = 0; k < K; ++k) initial_cost[kz(k)] = chain[kz(k)].cur_cost;
-  const double t_hot =
-      p.anneal ? 0.0
-               : (p.t_hot >= 0.0
-                      ? p.t_hot
-                      : std::max(auto_hot_temperature(initial_cost),
-                                 p.t_cold));
-  const std::vector<double> rung =
-      p.anneal ? geometric_ladder(1.0, p.hot_factor, K)
-               : geometric_ladder(p.t_cold, t_hot, K);
-  std::vector<double> decay(kz(K), 1.0);
-  if (p.anneal) {
-    for (int k = 0; k < K; ++k) {
-      decay[kz(k)] = std::pow(
-          p.t_end / p.t_start,
-          1.0 / static_cast<double>(std::max(1l, budget[kz(k)] - 1)));
-    }
+  // Rung multipliers on the cooling schedule each chain traverses over its
+  // own budget.
+  const std::vector<double> rung = geometric_ladder(1.0, p.hot_factor, K);
+  std::vector<double> decay(kz(K));
+  for (int k = 0; k < K; ++k) {
+    decay[kz(k)] = std::pow(
+        p.t_end / p.t_start,
+        1.0 / static_cast<double>(std::max(1l, budget[kz(k)] - 1)));
   }
   const auto temp_at = [&](int k, long move_index) {
-    return p.anneal ? rung[kz(k)] * p.t_start *
-                          std::pow(decay[kz(k)],
-                                   static_cast<double>(move_index))
-                    : rung[kz(k)];
+    return rung[kz(k)] * p.t_start *
+           std::pow(decay[kz(k)], static_cast<double>(move_index));
   };
 
   // Round pacing follows the cold chain: it advances swap_interval moves
   // per round and every other chain is paced to the same budget fraction,
   // so all chains finish together and swaps happen between comparably
-  // annealed states.
+  // cooled states.
   std::mt19937_64 swap_rng = replica_rng(base_seed, -1);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
-  int swap_interval = p.swap_interval;
-  const int max_interval = p.swap_interval * 4;
   std::vector<long> done(kz(K), 0);
   // Moves actually performed per chain (== done[k] unless a stop token cut
   // a round short) so reported evaluations stay exact under cancellation.
   std::vector<long> moves(kz(K), 0);
   int round = 0;
-  long window_attempts = 0, window_accepts = 0;
   while (done[0] < budget[0]) {
     if (p.stop != nullptr && p.stop->stop_requested()) break;
     const long cold_next =
-        std::min<long>(budget[0], done[0] + swap_interval);
+        std::min<long>(budget[0], done[0] + p.swap_interval);
     std::vector<long> next(kz(K));
     next[0] = cold_next;
     for (int k = 1; k < K; ++k) {
@@ -142,24 +123,12 @@ BaselineResult run_pt_impl(const floorplan::Instance& inst, const PTParams& p,
           lo.cur_cost, hi.cur_cost, temp_at(i, done[kz(i)]),
           temp_at(i + 1, done[kz(i + 1)]));
       const double u = unif(swap_rng);
-      ++window_attempts;
       if (u < pr) {  // exchange current states; each chain keeps its best
         std::swap(lo.cur, hi.cur);
         std::swap(lo.cur_cost, hi.cur_cost);
-        ++window_accepts;
       }
     }
     ++round;
-    if (p.adaptive_swap && round % kAdaptWindow == 0 && window_attempts > 0) {
-      const double rate = static_cast<double>(window_accepts) /
-                          static_cast<double>(window_attempts);
-      if (rate > 0.5) {
-        swap_interval = std::max(1, swap_interval / 2);
-      } else if (rate < 0.1) {
-        swap_interval = std::min(max_interval, swap_interval * 2);
-      }
-      window_attempts = window_accepts = 0;
-    }
   }
 
   int win = 0;
@@ -192,10 +161,7 @@ void PTParams::check() const {
   if (swap_interval < 1) {
     throw std::invalid_argument("run_pt: swap_interval must be >= 1");
   }
-  if (t_cold <= 0.0 || (t_hot >= 0.0 && t_hot <= t_cold)) {
-    throw std::invalid_argument("run_pt: need t_hot > t_cold > 0");
-  }
-  if (anneal && (t_end <= 0.0 || t_start < t_end || hot_factor < 1.0)) {
+  if (t_end <= 0.0 || t_start < t_end || hot_factor < 1.0) {
     throw std::invalid_argument(
         "run_pt: need t_start >= t_end > 0 and hot_factor >= 1");
   }
@@ -208,20 +174,19 @@ const char* to_string(Representation rep) {
   return rep == Representation::kBStarTree ? "bstar" : "sp";
 }
 
-std::vector<double> geometric_ladder(double t_cold, double t_hot,
-                                     int replicas) {
-  if (replicas < 1 || t_cold <= 0.0 || t_hot < t_cold) {
+std::vector<double> geometric_ladder(double lo, double hi, int replicas) {
+  if (replicas < 1 || lo <= 0.0 || hi < lo) {
     throw std::invalid_argument(
-        "geometric_ladder: need replicas >= 1 and t_hot >= t_cold > 0");
+        "geometric_ladder: need replicas >= 1 and hi >= lo > 0");
   }
   std::vector<double> temp(static_cast<std::size_t>(replicas));
-  const double ratio = t_hot / t_cold;
+  const double ratio = hi / lo;
   for (int k = 0; k < replicas; ++k) {
     const double frac =
         replicas == 1 ? 0.0
                       : static_cast<double>(k) /
                             static_cast<double>(replicas - 1);
-    temp[static_cast<std::size_t>(k)] = t_cold * std::pow(ratio, frac);
+    temp[static_cast<std::size_t>(k)] = lo * std::pow(ratio, frac);
   }
   return temp;
 }
@@ -230,13 +195,6 @@ double pt_swap_probability(double cost_i, double cost_j, double t_i,
                            double t_j) {
   const double exponent = (1.0 / t_i - 1.0 / t_j) * (cost_i - cost_j);
   return std::min(1.0, std::exp(exponent));
-}
-
-double auto_hot_temperature(const std::vector<double>& initial_costs) {
-  if (initial_costs.empty()) return 1.0;
-  const auto [lo, hi] =
-      std::minmax_element(initial_costs.begin(), initial_costs.end());
-  return std::max(1.0, *hi - *lo);
 }
 
 std::mt19937_64 replica_rng(std::uint64_t base_seed, int replica) {

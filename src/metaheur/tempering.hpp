@@ -1,11 +1,11 @@
 // Parallel tempering (replica exchange) over the floorplan representations.
 //
-// K simulated-annealing chains run on a temperature ladder
-// T_0 <= T_1 <= ... <= T_{K-1} (T_0 coldest) — either classic fixed rungs or
-// (default) an annealed ladder where every rung cools geometrically with a
-// constant ratio between neighbors.  Chains step independently between
-// exchange rounds, then adjacent replicas attempt a state exchange with the
-// Metropolis replica-exchange probability
+// K simulated-annealing chains run on a cooling temperature ladder
+// T_0 <= T_1 <= ... <= T_{K-1} (T_0 coldest): every rung cools
+// geometrically over its own move budget, with a constant ratio between
+// neighbors.  Chains step independently between exchange rounds, then
+// adjacent replicas attempt a state exchange with the Metropolis
+// replica-exchange probability
 //
 //   P(swap i <-> j) = min(1, exp((1/T_i - 1/T_j) * (C_i - C_j))),
 //
@@ -34,33 +34,27 @@
 
 namespace afp::metaheur {
 
-/// Chain encoding the replicas anneal over.
+/// Chain encoding the replicas search over.
 enum class Representation : int { kSequencePair = 0, kBStarTree = 1 };
 
 const char* to_string(Representation rep);
 
 /// Defaults were tuned at an equal TOTAL move budget against the
 /// single-chain SA baseline over the Table I circuits (see bench_search):
-/// a small skewed ladder whose cold chain starts below SA's t_start wins
-/// because the hot rungs take over the exploration phase the cold chain
-/// no longer pays for.
+/// a small skewed ladder whose cold chain starts below SA's t_start, since
+/// the hot rungs take over the exploration phase the cold chain no longer
+/// pays for.
 struct PTParams : SearchParams {
   int replicas = 3;        ///< ladder size K (>= 2)
   int iterations = 1333;   ///< mean moves per replica (total = K * this)
-  /// Annealed ladder (default): every chain cools geometrically from
-  /// m_k * t_start to m_k * t_end over its own budget, with multipliers m_k
-  /// geometric in [1, hot_factor] — so the coldest replica runs a plain SA
-  /// schedule while the hot chains explore, and the ladder's temperature
-  /// ratios (hence swap rates) stay constant as it cools.  With
-  /// anneal = false the chains sit at the classic fixed rungs, geometric
-  /// in [t_cold, t_hot].
-  bool anneal = true;
-  double t_start = 0.5;      ///< annealed mode: coldest chain's start temp
-  double t_end = 1e-3;       ///< annealed mode: coldest chain's final temp
-  double hot_factor = 8.0;   ///< annealed mode: hottest/coldest multiplier
-  double t_cold = 1e-3;      ///< fixed mode: coldest rung T_0
-  double t_hot = -1.0;       ///< fixed mode: hottest rung; < 0 = auto from
-                             ///< the initial cost spread
+  /// Every chain cools geometrically from m_k * t_start to m_k * t_end over
+  /// its own budget, with multipliers m_k geometric in [1, hot_factor] — so
+  /// the coldest replica runs a plain SA schedule while the hot chains
+  /// explore, and the ladder's temperature ratios (hence swap rates) stay
+  /// constant as it cools.
+  double t_start = 0.5;      ///< coldest chain's start temperature
+  double t_end = 1e-3;       ///< coldest chain's final temperature
+  double hot_factor = 8.0;   ///< hottest/coldest multiplier
   /// Budget skew between rungs: replica k receives a share of the total
   /// move budget proportional to budget_skew^-k, so with skew > 1 the cold
   /// chain keeps most of the moves (approaching a single long SA chain)
@@ -69,33 +63,19 @@ struct PTParams : SearchParams {
   /// replicas * iterations, redistributed exactly.
   double budget_skew = 3.0;
   int swap_interval = 8;   ///< cold-chain moves between exchange rounds (>= 1)
-  /// Adapts swap_interval to the observed exchange acceptance every
-  /// kAdaptWindow rounds: halves it (floor 1) when neighbors exchange
-  /// eagerly, doubles it (cap 4x the initial value) when exchanges stall so
-  /// chains get more decorrelation time per attempt.  The adaptation reads
-  /// only deterministic history, so the reproducibility contract holds.
-  bool adaptive_swap = false;
   Representation representation = Representation::kSequencePair;
-  /// replicas >= 2, iterations >= 0, swap_interval >= 1, t_hot > t_cold > 0,
-  /// annealed t_start >= t_end > 0 and hot_factor >= 1, budget_skew >= 1.
+  /// replicas >= 2, iterations >= 0, swap_interval >= 1,
+  /// t_start >= t_end > 0, hot_factor >= 1 and budget_skew >= 1.
   void check() const;
 };
 
-/// Rounds between adaptive swap-interval updates.
-constexpr int kAdaptWindow = 4;
-
-/// Geometric temperature ladder t_cold * (t_hot/t_cold)^(k/(K-1)), k=0..K-1.
-/// Strictly increasing for t_hot > t_cold > 0.
-std::vector<double> geometric_ladder(double t_cold, double t_hot, int replicas);
+/// Geometric ladder lo * (hi/lo)^(k/(K-1)), k=0..K-1: the rung multipliers.
+/// Strictly increasing for hi > lo > 0.
+std::vector<double> geometric_ladder(double lo, double hi, int replicas);
 
 /// Replica-exchange acceptance probability min(1, exp((1/ti - 1/tj)(ci - cj))).
 double pt_swap_probability(double cost_i, double cost_j, double t_i,
                            double t_j);
-
-/// Auto-tuned hottest rung: the spread (max - min, floored at 1.0) of the
-/// replicas' initial costs, so the top chain accepts most uphill moves of the
-/// magnitude the landscape actually exhibits.
-double auto_hot_temperature(const std::vector<double>& initial_costs);
 
 /// Independent RNG stream for replica `replica` of `base_seed`.  Distinct
 /// mixing domain from restart_rng so PT-inside-multistart never aliases a

@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BStarSa, ProducesCompetitiveFloorplans) {
   std::mt19937_64 rng(5);
   const auto inst = instance_of("ota2");
-  BStarSAParams p;
+  SAParams p;
   p.iterations = 1500;
   const auto res = run_sa_bstar(inst, p, rng);
   EXPECT_EQ(res.method, "SA-B*[15]");
@@ -121,7 +121,7 @@ TEST(BStarSa, ProducesCompetitiveFloorplans) {
 TEST(BStarSa, SmallInstance) {
   std::mt19937_64 rng(6);
   const auto inst = instance_of("bias_small");
-  BStarSAParams p;
+  SAParams p;
   p.iterations = 300;
   const auto res = run_sa_bstar(inst, p, rng);
   EXPECT_EQ(static_cast<int>(res.rects.size()), inst.num_blocks());

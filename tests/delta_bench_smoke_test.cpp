@@ -85,7 +85,7 @@ TEST(DeltaBenchSmoke, SaBestCostsMatchFullOnTableI) {
           return run_sa(inst, p, rng);
         },
         std::string("sa/") + name);
-    metaheur::BStarSAParams bp;
+    metaheur::SAParams bp;
     bp.iterations = 600;
     compare_modes(
         [&]() {

@@ -63,8 +63,6 @@ TEST(OptimizerOptions, RoundTripAndValidation) {
                std::invalid_argument);
   EXPECT_THROW(metaheur::make_optimizer("sa", {{"iterations", "12x"}}),
                std::invalid_argument);
-  EXPECT_THROW(metaheur::make_optimizer("pt", {{"adaptive_swap", "maybe"}}),
-               std::invalid_argument);
   // Range and finiteness are validated at configure time, not deep in run().
   EXPECT_THROW(metaheur::make_optimizer("pt", {{"replicas", "1"}}),
                std::invalid_argument);
@@ -81,14 +79,17 @@ TEST(OptimizerOptions, RoundTripAndValidation) {
 TEST(OptimizerOptions, RangeChecksRunAtConfigureTime) {
   // A schedule or ladder the search cannot run is rejected by
   // configure() itself, so the CLI exits 2 and afpd answers invalid_config
-  // instead of failing (and retrying) inside run().
+  // instead of failing (and retrying) inside run().  So is a population
+  // above the cap: each unit holds search state before the first move.
+  const std::string over = std::to_string(metaheur::kMaxPopulation + 1);
   const std::vector<std::pair<std::string, metaheur::Options>> bad = {
       {"pt", {{"t_end", "-1"}}},       {"pt-bstar", {{"t_end", "-1"}}},
       {"pt", {{"hot_factor", "0.5"}}}, {"pt", {{"budget_skew", "0.5"}}},
-      {"pt", {{"t_cold", "0"}}},       {"pt", {{"t_hot", "1e-4"}}},
       {"sa", {{"t_end", "-1"}}},       {"sa", {{"t_start", "0"}}},
       {"sab", {{"t_end", "0"}}},       {"sab", {{"t_start", "-2"}}},
-      {"rlsa", {{"t_end", "-1"}}},     {"rlsa", {{"t_start", "0"}}}};
+      {"rlsa", {{"t_end", "-1"}}},     {"rlsa", {{"t_start", "0"}}},
+      {"ga", {{"population", over}}},  {"pso", {{"particles", over}}},
+      {"pt", {{"replicas", over}}},    {"pt-bstar", {{"replicas", over}}}};
   for (const auto& [name, opts] : bad) {
     EXPECT_THROW(metaheur::make_optimizer(name, opts), std::invalid_argument)
         << name << " " << opts.begin()->first << "=" << opts.begin()->second;
@@ -108,6 +109,11 @@ TEST(OptimizerOptions, RangeChecksRunAtConfigureTime) {
   // In-range values still configure.
   EXPECT_NO_THROW(metaheur::make_optimizer("pt", {{"t_end", "0.5"}}));
   EXPECT_NO_THROW(metaheur::make_optimizer("sa", {{"t_start", "0.01"}}));
+  const std::string cap = std::to_string(metaheur::kMaxPopulation);
+  EXPECT_NO_THROW(metaheur::make_optimizer("ga", {{"population", cap}}));
+  EXPECT_NO_THROW(metaheur::make_optimizer("pso", {{"particles", cap}}));
+  EXPECT_NO_THROW(metaheur::make_optimizer("pt", {{"replicas", cap}}));
+  EXPECT_NO_THROW(metaheur::make_optimizer("pt-bstar", {{"replicas", cap}}));
 }
 
 TEST(OptimizerRegistry, DescribeTableIsPinned) {
@@ -125,16 +131,11 @@ TEST(OptimizerRegistry, DescribeTableIsPinned) {
   const std::vector<Row> pt = {
       {"replicas", "3", "temperature-ladder size K (>= 2)"},
       {"iterations", "1333", "mean moves per replica (total = K * this)"},
-      {"anneal", "true", "annealed ladder (true) vs fixed rungs (false)"},
-      {"t_start", "0.5", "annealed mode: coldest start temp"},
-      {"t_end", "0.001", "annealed mode: coldest final temp"},
-      {"hot_factor", "8", "annealed mode: hottest/coldest multiplier"},
-      {"t_cold", "0.001", "fixed mode: coldest rung"},
-      {"t_hot", "-1", "fixed mode: hottest rung; < 0 = auto"},
+      {"t_start", "0.5", "coldest chain's start temperature"},
+      {"t_end", "0.001", "coldest chain's final temperature"},
+      {"hot_factor", "8", "hottest/coldest multiplier"},
       {"budget_skew", "3", "cold-chain move-budget skew (1 = equal chains)"},
       {"swap_interval", "8", "cold-chain moves between exchange rounds"},
-      {"adaptive_swap", "false",
-       "adapt the swap interval to the exchange acceptance"},
       {"spacing_um", "-1", kSpacing}};
   const std::vector<std::tuple<std::string, std::string, std::vector<Row>>>
       table = {
@@ -204,7 +205,7 @@ TEST(RegistryParity, EveryBuiltinMatchesItsDirectCall) {
   const auto nl = netlist::make_bias1();
   auto g = graphir::build_graph(nl, structrec::recognize(nl));
   const auto inst = floorplan::make_instance(g);
-  using Direct = std::function<metaheur::SearchResult(std::mt19937_64&)>;
+  using Direct = std::function<metaheur::BaselineResult(std::mt19937_64&)>;
   const int n = 12;
   const std::vector<std::pair<std::string, Direct>> cases = {
       {"sa",

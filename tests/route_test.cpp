@@ -620,28 +620,44 @@ TEST(GlobalRoute, WindowedLargeInstanceRoutesCleanly) {
   }
 }
 
+/// One routed case: an instance, a fixed placement and the pipeline's
+/// per-block routing directions.
+struct RouteCase {
+  floorplan::Instance inst;
+  std::vector<geom::Rect> rects;
+  std::vector<int> dirs;
+};
+
+/// Eight blocks whose one net, {0, 7}, routes only through the full-canvas
+/// retry.  Block 0's pin sits in a pocket of walls (blocks 1-5) whose only
+/// exit is a 0.08 um overlap in the right wall: more than one clearance
+/// (0.05), so each wall part's edge line lies inside the other part, and
+/// less than two, so a channel stays open between the shrunk parts.  No
+/// grid line of the net's window runs through that channel.  Block 6, far
+/// outside the window, puts its bottom edge on the channel's centre line,
+/// so only the full-canvas retry reaches block 7's pin.
+RouteCase pocket_case() {
+  RouteCase rc;
+  rc.inst.blocks.resize(8);
+  rc.inst.nets = {{0, 7}};
+  rc.rects = {
+      {0.0, 0.0, 2.0, 2.0},
+      {-3.0, -3.0, 9.0, 1.0},   // bottom wall
+      {-3.0, 5.0, 9.0, 1.0},    // top wall
+      {-3.0, -3.0, 1.0, 9.0},   // left wall
+      {5.0, -3.0, 1.0, 4.54},   // right wall, up to y = 1.54
+      {5.0, 1.46, 1.0, 4.54},   // right wall, from y = 1.46
+      {100.0, 1.5, 2.0, 2.0},
+      {10.0, 0.0, 2.0, 2.0},
+  };
+  return rc;
+}
+
 TEST(GlobalRoute, WindowedRetryEscapesOnTheFullCanvas) {
   // A net first routes on a window around its pins, on instances of any
-  // size; this one has 8 blocks.  Block 0's pin sits in a pocket of walls
-  // (blocks 1-5) whose only exit is a 0.08 um overlap in the right wall:
-  // more than one clearance (0.05), so each wall part's edge line lies
-  // inside the other part, and less than two, so a channel stays open
-  // between the shrunk parts.  No grid line of the window runs through
-  // that channel.  Block 6, far outside the window, puts its bottom edge
-  // on the channel's centre line, so only the full-canvas retry reaches
-  // block 7's pin.
-  floorplan::Instance inst;
-  inst.blocks.resize(8);
-  inst.nets = {{0, 7}};
-  std::vector<geom::Rect> rects(8);
-  rects[0] = {0.0, 0.0, 2.0, 2.0};
-  rects[1] = {-3.0, -3.0, 9.0, 1.0};   // bottom wall
-  rects[2] = {-3.0, 5.0, 9.0, 1.0};    // top wall
-  rects[3] = {-3.0, -3.0, 1.0, 9.0};   // left wall
-  rects[4] = {5.0, -3.0, 1.0, 4.54};   // right wall, up to y = 1.54
-  rects[5] = {5.0, 1.46, 1.0, 4.54};   // right wall, from y = 1.46
-  rects[6] = {100.0, 1.5, 2.0, 2.0};
-  rects[7] = {10.0, 0.0, 2.0, 2.0};
+  // size; this one has 8 blocks, and the window alone cannot route it.
+  const RouteCase rc = pocket_case();
+  const auto& rects = rc.rects;
   const std::vector<geom::Point> pins{block_pin_for_net(rects[0], 0, 0),
                                       block_pin_for_net(rects[7], 0, 0)};
   geom::Rect window = geom::bounding_box_points(pins);
@@ -655,7 +671,7 @@ TEST(GlobalRoute, WindowedRetryEscapesOnTheFullCanvas) {
   ASSERT_EQ(clipped.size(), 5u);  // the walls, not block 6
   EXPECT_THROW(route_net(pins, clipped), std::runtime_error);
 
-  const auto gr = global_route(inst, rects);
+  const auto gr = global_route(rc.inst, rects);
   EXPECT_EQ(gr.failed_nets, 0);
   ASSERT_EQ(gr.trees.size(), 1u);
   const auto& tree = gr.trees[0];
@@ -695,11 +711,13 @@ TEST(GlobalRoute, WirelengthGrowsWithSpread) {
 // reduced to a 64-bit FNV-1a fingerprint, compared with the recorded table
 // below.  Every net of the Table I circuits and of the 100-, 250- and
 // 1000-block scenarios routes on a window around its pins first, and the
-// seeded overlaps wall some pins in at both sizes, so the full-canvas
-// retry and the failure path are pinned as well.  One Table I circuit and
-// one 100-block scenario are also placed with every block abutting its
-// neighbours, as the packers place them: their shared edges reach the
-// escape graph through different float sums, so they pin the line snap.
+// seeded overlaps wall some pins in at both sizes, so the failure path is
+// pinned as well.  The hand-placed "pocket" case's net routes only through
+// the full-canvas retry, so its row pins the retry's trees.  One Table I
+// circuit and one 100-block scenario are also placed with every block
+// abutting its neighbours, as the packers place them: their shared edges
+// reach the escape graph through different float sums, so they pin the
+// line snap.
 // Two more tables pin GlobalRoute::expanded, the router's heap-pop count,
 // and GlobalRoute::vertices, the escape graphs' size: a change that makes
 // routing do more work fails a deterministic count instead of a noisy
@@ -758,14 +776,6 @@ std::uint64_t fingerprint(const route::GlobalRoute& gr) {
   return f.value();
 }
 
-/// One routed case: an instance, a fixed placement and the pipeline's
-/// per-block routing directions.
-struct RouteCase {
-  floorplan::Instance inst;
-  std::vector<geom::Rect> rects;
-  std::vector<int> dirs;
-};
-
 /// Seeded shelf placement: blocks in a shuffled order, each on a seeded
 /// candidate shape, packed into rows with seeded gaps in [-0.3, 1.7] um,
 /// or with no gaps when `abut`.  Raw mt19937_64 words only (its output is
@@ -815,7 +825,8 @@ RouteCase make_case(const netlist::Netlist& nl, std::uint64_t seed,
 constexpr std::string_view kAbut = "/abut";
 
 /// Case names: a Table I circuit or a scenario spec, then "#" and the
-/// placement seed, then kAbut for a zero-gap placement.
+/// placement seed, then kAbut for a zero-gap placement; and "pocket", whose
+/// net routes only through the full-canvas retry (pocket_case).
 std::map<std::string, RouteCase> route_cases() {
   constexpr std::array<std::string_view, 6> kTableI = {
       "ota1", "ota2", "bias1", "rs_latch", "driver", "bias2"};
@@ -840,6 +851,7 @@ std::map<std::string, RouteCase> route_cases() {
   const auto sc =
       ingest::make_scenario(ingest::ScenarioSpec::parse("ota:100:1"));
   cases["ota:100:1#1" + std::string(kAbut)] = make_case(sc.netlist, 1, true);
+  cases["pocket"] = pocket_case();
   return cases;
 }
 
@@ -884,6 +896,7 @@ constexpr Golden kRouteGolden[] = {
     {"ota:100:1#1", 0x41fffc29d3602d76ull},
     {"ota:100:1#1/abut", 0xcbae126ea534730eull},
     {"ota:250:5#1", 0xef7f5135bf6478b5ull},
+    {"pocket", 0x7ac44d6d60e11ac9ull},
     {"rs_latch#1", 0xffc5d0b6b2667bc3ull},
     {"rs_latch#2", 0x30db516dd7f01d48ull},
 };
@@ -912,6 +925,7 @@ constexpr Golden kExpandedGolden[] = {
     {"ota:100:1#1", 23256},
     {"ota:100:1#1/abut", 8536},
     {"ota:250:5#1", 165292},
+    {"pocket", 34},
     {"rs_latch#1", 147},
     {"rs_latch#2", 133},
 };
@@ -940,6 +954,7 @@ constexpr Golden kVerticesGolden[] = {
     {"ota:100:1#1", 53240},
     {"ota:100:1#1/abut", 25556},
     {"ota:250:5#1", 447844},
+    {"pocket", 94},
     {"rs_latch#1", 179},
     {"rs_latch#2", 216},
 };

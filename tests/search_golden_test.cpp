@@ -62,7 +62,7 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-std::uint64_t fingerprint(const metaheur::SearchResult& r) {
+std::uint64_t fingerprint(const metaheur::BaselineResult& r) {
   Fnv f;
   for (const auto& rect : r.rects) {
     f.add(rect.x);

@@ -26,6 +26,7 @@
 #include "core/report.hpp"
 #include "ingest/scenario.hpp"
 #include "ingest/spice_parser.hpp"
+#include "metaheur/optimizer.hpp"
 #include "netlist/library.hpp"
 #include "numeric/parallel.hpp"
 #include "service/admission.hpp"
@@ -663,22 +664,30 @@ TEST_F(ServiceE2E, MalformedSubmitsGetStructuredErrorsSessionSurvives) {
 
 TEST_F(ServiceE2E, OutOfRangeOptionIsRejectedBeforeAdmission) {
   // The optimizer's range check runs when the submit check configures it,
-  // so a ladder or schedule the search cannot run never takes a slot.
+  // so a ladder or schedule the search cannot run never takes a slot, and
+  // a population over the cap never asks the daemon for its state.
   start_server({});
   Client client = connect();
-  const char* bad[] = {
-      R"({"type": "submit", "circuit": "ota2",
-          "config": {"optimizer": "pt", "options": {"t_end": "-1"},
-                     "search": {"max_retries": 2}}})",
-      R"({"type": "submit", "circuit": "ota2",
-          "config": {"optimizer": "sa", "options": {"t_end": "-1"}}})",
+  const std::string over = std::to_string(metaheur::kMaxPopulation + 1);
+  const std::pair<std::string, std::string> bad[] = {
+      {R"({"type": "submit", "circuit": "ota2",
+           "config": {"optimizer": "pt", "options": {"t_end": "-1"},
+                      "search": {"max_retries": 2}}})",
+       "t_end"},
+      {R"({"type": "submit", "circuit": "ota2",
+           "config": {"optimizer": "sa", "options": {"t_end": "-1"}}})",
+       "t_end"},
+      {R"({"type": "submit", "circuit": "ota2",
+           "config": {"optimizer": "pt", "options": {"replicas": ")" +
+           over + R"("}}})",
+       "replicas"},
   };
-  for (const char* payload : bad) {
+  for (const auto& [payload, key] : bad) {
     client.send_frame(payload);
     const JsonValue v = service::json_parse(client.read_frame());
     EXPECT_EQ(v.at("type").as_string(), "error") << payload;
     EXPECT_EQ(v.at("kind").as_string(), "invalid_config") << payload;
-    EXPECT_NE(v.at("message").as_string().find("t_end"), std::string::npos)
+    EXPECT_NE(v.at("message").as_string().find(key), std::string::npos)
         << payload;
   }
   const auto st = server_->stats_snapshot();

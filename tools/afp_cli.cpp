@@ -90,7 +90,7 @@ commands:
 search options (floorplan):
   --baseline B  Registry optimizer name (see `afp list-baselines`):
                 sa | ga | pso | rlsa | rlsp | sab | pt | pt-bstar
-                (default sa; --method and sa-bstar stay as aliases).
+                (default sa).
   --opt k=v     Set an optimizer option (repeatable; commas separate
                 several pairs).  `afp list-baselines` shows each
                 optimizer's keys and defaults.
@@ -98,9 +98,6 @@ search options (floorplan):
                 (default 1).  Deterministic for any thread count.
   --iters N     Override the optimizer's primary budget knob (moves,
                 generations, sweeps, episodes or per-replica moves).
-  --pt-replicas K       Alias for --opt replicas=K (pt baselines).
-  --pt-swap-interval M  Alias for --opt swap_interval=M (pt baselines).
-  --pt-adaptive         Alias for --opt adaptive_swap=true (pt baselines).
   --time-budget S  Wall-clock budget in seconds: iteration quanta race the
                 deadline (deterministic per completed quantum count).
                 Mutually exclusive with --restarts.
@@ -175,16 +172,14 @@ const std::map<std::string, std::set<std::string>> kCommandOptions = {
     {"list", {}},
     {"list-baselines", {}},
     {"floorplan",
-     {"method", "baseline", "constrained", "seed", "svg", "report",
-      "report-json", "restarts", "iters", "opt", "batch", "time-budget",
-      "quanta", "job-timeout", "max-retries", "checkpoint", "resume",
-      "pt-replicas", "pt-swap-interval", "pt-adaptive", "scenario",
+     {"baseline", "constrained", "seed", "svg", "report", "report-json",
+      "restarts", "iters", "opt", "batch", "time-budget", "quanta",
+      "job-timeout", "max-retries", "checkpoint", "resume", "scenario",
       "scenario-matrix"}},
     {"ingest",
-     {"top", "parse-only", "method", "baseline", "constrained", "seed",
-      "svg", "report", "report-json", "restarts", "iters", "opt",
-      "time-budget", "quanta", "job-timeout", "max-retries", "checkpoint",
-      "resume", "pt-replicas", "pt-swap-interval", "pt-adaptive"}},
+     {"top", "parse-only", "baseline", "constrained", "seed", "svg",
+      "report", "report-json", "restarts", "iters", "opt", "time-budget",
+      "quanta", "job-timeout", "max-retries", "checkpoint", "resume"}},
     {"train", {"episodes", "seed", "out"}},
     {"eval", {"agent", "attempts", "seed", "constrained", "svg"}},
     {"graph", {"dot"}},
@@ -382,11 +377,9 @@ void write_file(const std::string& path, const std::string& content) {
   }
 }
 
-/// Resolves --baseline/--method (plus aliases) to a registry name.
+/// Resolves --baseline to a registry name.
 std::string baseline_name(const Args& args) {
-  std::string name = args.has("baseline") ? args.get("baseline", "sa")
-                                          : args.get("method", "sa");
-  if (name == "sa-bstar") name = "sab";
+  const std::string name = args.get("baseline", "sa");
   if (!metaheur::OptimizerRegistry::global().contains(name)) {
     std::string known;
     for (const auto& n : metaheur::optimizer_names()) {
@@ -398,9 +391,8 @@ std::string baseline_name(const Args& args) {
   return name;
 }
 
-/// Collects --opt k=v[,k=v...] pairs plus the --pt-* convenience aliases
-/// into one option map.
-metaheur::Options gather_options(const Args& args, const std::string& name) {
+/// Collects --opt k=v[,k=v...] pairs into one option map.
+metaheur::Options gather_options(const Args& args) {
   metaheur::Options opts;
   for (const auto& arg : args.get_all("opt")) {
     std::stringstream ss(arg);
@@ -413,21 +405,6 @@ metaheur::Options gather_options(const Args& args, const std::string& name) {
       opts[pair.substr(0, eq)] = pair.substr(eq + 1);
     }
   }
-  const bool is_pt = name == "pt" || name == "pt-bstar";
-  if (!is_pt && (args.has("pt-replicas") || args.has("pt-swap-interval") ||
-                 args.has("pt-adaptive"))) {
-    throw UsageError("--pt-* options apply to the pt/pt-bstar baselines only "
-                     "(got baseline '" + name + "')");
-  }
-  if (args.has("pt-replicas")) {
-    opts["replicas"] =
-        std::to_string(parse_int_or_die(args, "pt-replicas", 3, 2));
-  }
-  if (args.has("pt-swap-interval")) {
-    opts["swap_interval"] =
-        std::to_string(parse_int_or_die(args, "pt-swap-interval", 8, 1));
-  }
-  if (args.has("pt-adaptive")) opts["adaptive_swap"] = "true";
   return opts;
 }
 
@@ -599,7 +576,7 @@ SearchSetup build_search(const Args& args) {
   core::PipelineConfig cfg;
   cfg.constrained = args.has("constrained");
   cfg.optimizer = name;
-  cfg.options = gather_options(args, name);
+  cfg.options = gather_options(args);
   cfg.search.restarts =
       static_cast<int>(parse_int_or_die(args, "restarts", 1, 1));
   if (args.has("iters")) {
@@ -702,12 +679,7 @@ int run_single(const Args& args, const SearchSetup& setup,
     std::printf("wrote %s\n", args.get("svg", "layout.svg").c_str());
   }
   if (args.has("report")) {
-    // The text report names the user-facing baseline spelling, which keeps
-    // historic reports (e.g. the e2e determinism goldens) byte-compatible.
-    const std::string spelled = args.has("baseline")
-                                    ? args.get("baseline", "sa")
-                                    : args.get("method", "sa");
-    write_report(args.get("report", "report.txt"), spelled, res);
+    write_report(args.get("report", "report.txt"), setup.baseline, res);
     std::printf("wrote %s\n", args.get("report", "report.txt").c_str());
   }
   if (args.has("report-json")) {
